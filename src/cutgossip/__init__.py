@@ -31,13 +31,11 @@ from .graph import (
 from .rules import (
     RuleCase,
     RuleDescriptor,
-    algA_dispatch,
+    compile_rule,
     compute_period,
-    convex_update,
-    nonconvex_cut_update,
+    pair_update,
     parse_rule,
     resolve_gamma,
-    vanilla_update,
 )
 from .walks import (
     TailBoundParams,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,12 +21,13 @@ from .engine import (
     SimConfig,
     SimTrace,
     StateVector,
-    _rule_params,
     _side_metrics,
     simulate,
 )
 from .graph import PartitionedGraph, SideGraph, side_subgraph
-from .rules import RuleCase, RuleDescriptor, compute_period
+from .rules import (
+    RuleDescriptor, compile_rule, compute_period, pair_update, resolve_gamma,
+)
 
 __all__ = [
     "Decomposition",
@@ -43,6 +44,7 @@ __all__ = [
     "run_seed",
     "estimate_T_av",
     "estimate_T_van",
+    "resolve_period",
     "epoch_operator",
     "epoch_operators",
     "spectral_norm",
@@ -59,6 +61,9 @@ DEFAULT_CONFIDENCE = 1.0 / math.e
 # integers give statistically independent generators.
 _STREAM_STRIDE = 1_000_003
 _POINT_STRIDE = 104_729
+# Period resolution shifts the master by these for block one's and two's T_van.
+_TVAN1_OFFSET = 500_000_003
+_TVAN2_OFFSET = 600_000_007
 
 
 class DegenerateInitialStateError(ValueError):
@@ -99,7 +104,7 @@ def decompose(state, graph) -> Decomposition:
     """
     values = state.values if isinstance(state, StateVector) else state
     arr = np.asarray(values, dtype=float)
-    n1 = graph.n1 if isinstance(graph, PartitionedGraph) else graph.n
+    n1 = graph.view.n1
     if arr.size != graph.n:
         raise ValueError("state length does not match the graph")
     mu1, mu2, sigma, var = _side_metrics(arr, n1)
@@ -214,7 +219,7 @@ def estimate_T_av(
 
     if isinstance(x0_policy, str):
         if x0_policy == "worst_cut":
-            if not isinstance(graph, PartitionedGraph):
+            if graph.view.n1 == graph.n:
                 raise ValueError("worst_cut needs a partitioned graph")
             starts = [worst_cut_x0(graph)]
         elif x0_policy == "random":
@@ -230,7 +235,7 @@ def estimate_T_av(
     else:
         starts = [np.asarray(x0_policy, dtype=float)]
 
-    m = graph.num_edges if isinstance(graph, PartitionedGraph) else len(graph.edges)
+    m = len(graph.view.eu)
     if keep_traces:
         sample_every = max(1, int(m * horizon / 800))
     else:
@@ -247,6 +252,10 @@ def estimate_T_av(
             for r in range(runs)
         ]
         results = _run_batch(tasks, workers)
+        if any(le is None for _, le, _ in results):  # var0 rounded to zero
+            raise DegenerateInitialStateError(
+                "var(x0) is lost to rounding against its mean; center x0 first"
+            )
         firsts = np.array(
             [math.nan if fc is None else fc for fc, _, _ in results]
         )
@@ -328,6 +337,16 @@ def _tvan_with_growth(
     )
 
 
+def resolve_period(
+    g: PartitionedGraph, c_const: float, seed: int, runs: int
+) -> tuple[int, float, float]:
+    """Firing period of the periodic scheme on ``g`` from block averaging
+    times estimated with ``runs`` runs each; returns (period, tv1, tv2)."""
+    tv1 = _tvan_with_growth(side_subgraph(g, 1), runs, seed + _TVAN1_OFFSET)
+    tv2 = _tvan_with_growth(side_subgraph(g, 2), runs, seed + _TVAN2_OFFSET)
+    return compute_period(tv1, tv2, g.n, c_const), tv1, tv2
+
+
 # ---------------------------------------------------------------------------
 # Epoch operators
 # ---------------------------------------------------------------------------
@@ -350,30 +369,12 @@ def epoch_operator(graph, rule: RuleDescriptor, events, index: int = 0) -> Epoch
     epoch's start state reproduces its end state up to roundoff relative
     to the input scale.
     """
-    n = graph.n
-    if isinstance(graph, PartitionedGraph):
-        eu, ev, _ = graph._flat
-    else:
-        eu = [u - 1 for u, _ in graph.edges]
-        ev = [v - 1 for _, v in graph.edges]
-    _, alpha, _, gamma = _rule_params(graph, rule)
-    beta = 1.0 - alpha
+    n, _, eu, ev, _ = graph.view
+    rc = compile_rule(graph, rule)
     a = np.eye(n)
     for _t, e, case in events:
         u, v = eu[e], ev[e]
-        if case == RuleCase.VANILLA:
-            row = 0.5 * (a[u] + a[v])
-            a[u] = row
-            a[v] = row
-        elif case == RuleCase.CONVEX:
-            ru = alpha * a[u] + beta * a[v]
-            rv = alpha * a[v] + beta * a[u]
-            a[u] = ru
-            a[v] = rv
-        elif case == RuleCase.NONCONVEX:
-            tr = gamma * (a[v] - a[u])
-            a[u] = a[u] + tr
-            a[v] = a[v] - tr
+        a[u], a[v] = pair_update(case, a[u], a[v], rc.alpha, rc.gamma)
     return EpochOperator(a, index, spectral_norm(a))
 
 
@@ -564,8 +565,10 @@ def algA_scaling_sweep(
     horizon-censored by default rather than erroring.
     """
     from .graph import build_barbell
-    from .rules import resolve_gamma
 
+    base = RuleDescriptor(
+        "algA", gamma_mode=gamma_mode, gamma_value=gamma_value, c_const=c_const
+    )
     rows = []
     t_hats = []
     for p, n in enumerate(n_values):
@@ -573,17 +576,8 @@ def algA_scaling_sweep(
             raise ValueError("block family needs even n >= 2")
         g = build_barbell(n // 2, n // 2)
         master = seed + _POINT_STRIDE * p
-        tv1 = _tvan_with_growth(
-            side_subgraph(g, 1), tvan_runs, master + 500_000_003
-        )
-        tv2 = _tvan_with_growth(
-            side_subgraph(g, 2), tvan_runs, master + 600_000_007
-        )
-        period = compute_period(tv1, tv2, n, c_const)
-        rule = RuleDescriptor(
-            "algA", period=period, gamma_mode=gamma_mode,
-            gamma_value=gamma_value, c_const=c_const,
-        )
+        period, tv1, tv2 = resolve_period(g, c_const, master, tvan_runs)
+        rule = replace(base, period=period)
         horizon = max(20.0, 6.0 * period)
         est = estimate_T_av(
             g, rule, "worst_cut", runs, horizon,

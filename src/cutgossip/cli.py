@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -133,28 +133,16 @@ def _parse_rule(text: str) -> RuleDescriptor:
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve_alg_period(
-    rule: RuleDescriptor, g: graphmod.PartitionedGraph, seed: int, runs: int = 60
+def _resolved_rule(
+    cfg: ExperimentConfig, g: graphmod.PartitionedGraph
 ) -> RuleDescriptor:
-    """Fill in the firing period from block averaging-time estimates."""
-    if rule.kind != "algA" or rule.period is not None:
-        return rule
-    tv1 = analysis._tvan_with_growth(
-        graphmod.side_subgraph(g, 1), runs, seed + 500_000_003
-    )
-    tv2 = analysis._tvan_with_growth(
-        graphmod.side_subgraph(g, 2), runs, seed + 600_000_007
-    )
-    from .rules import compute_period
-
-    period = compute_period(tv1, tv2, g.n, rule.c_const)
-    return RuleDescriptor(
-        "algA",
-        period=period,
-        gamma_mode=rule.gamma_mode,
-        gamma_value=rule.gamma_value,
-        c_const=rule.c_const,
-    )
+    """The configured rule; an algA rule without P gets its firing period
+    from block averaging-time estimates (60 runs each)."""
+    rule = _parse_rule(cfg.rule)
+    if rule.kind == "algA" and rule.period is None:
+        period, _, _ = analysis.resolve_period(g, rule.c_const, cfg.seed, runs=60)
+        rule = replace(rule, period=period)
+    return rule
 
 
 def _emit(payload: dict, out: str) -> None:
@@ -174,7 +162,7 @@ def _emit(payload: dict, out: str) -> None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     g = parse_graph_spec(cfg.graph, cfg.seed)
-    rule = _resolve_alg_period(_parse_rule(cfg.rule), g, cfg.seed)
+    rule = _resolved_rule(cfg, g)
     if args.max_events is None and args.max_time is None:
         raise ConfigError("simulate needs --max-events and/or --max-time")
     x0 = _initial_state(cfg.x0, g, cfg.seed)
@@ -228,7 +216,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 cfg.out,
             )
             return 0
-        rule = _resolve_alg_period(_parse_rule(cfg.rule), g, cfg.seed)
+        rule = _resolved_rule(cfg, g)
         est = analysis.estimate_T_av(
             g, rule, cfg.x0, cfg.runs, cfg.horizon,
             seed=cfg.seed, workers=cfg.workers,
@@ -326,7 +314,7 @@ def _check_tail() -> dict:
 
 def _check_dominance(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
     g = parse_graph_spec(cfg.graph, cfg.seed)
-    rule = _resolve_alg_period(_parse_rule(cfg.rule), g, cfg.seed)
+    rule = _resolved_rule(cfg, g)
     if rule.kind != "algA":
         raise ConfigError("dominance check needs an algA rule")
     slack = args.slack if args.slack is not None else 0.1 * math.log(g.n)
@@ -351,7 +339,7 @@ def _check_dominance(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
 
 def _check_invariants(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
     g = parse_graph_spec(cfg.graph, cfg.seed)
-    rule = _resolve_alg_period(_parse_rule(cfg.rule), g, cfg.seed)
+    rule = _resolved_rule(cfg, g)
     x0 = analysis.worst_cut_x0(g)
     events = args.events
 

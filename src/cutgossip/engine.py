@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import KIND_CUT, KIND_INTRA, PartitionedGraph, SideGraph
-from .rules import RuleCase, RuleDescriptor, algA_dispatch, resolve_gamma
+from .graph import KIND_CUT, KIND_INTRA
+from .rules import RuleCase, RuleDescriptor, compile_rule, pair_update
 
 __all__ = [
     "StateVector",
@@ -183,48 +183,6 @@ def next_event(rng: np.random.Generator, edge_count: int) -> tuple[float, int]:
     return dt, edge
 
 
-def _rule_params(
-    graph, rule: RuleDescriptor
-) -> tuple[int, float, int, float]:
-    """Resolve (mode, alpha, period, gamma) for a run.  mode: 0 vanilla,
-    1 convex, 2 periodic scheme."""
-    if rule.kind == "vanilla":
-        return 0, 0.0, 1, 0.0
-    if rule.kind == "convex":
-        return 1, float(rule.alpha), 1, 0.0
-    if not isinstance(graph, PartitionedGraph):
-        raise ValueError("the periodic scheme needs a partitioned graph")
-    if rule.period is None:
-        raise ValueError(
-            "algA period is unresolved; set period explicitly or compute it "
-            "from block averaging-time estimates"
-        )
-    gamma = resolve_gamma(graph, rule.gamma_mode, rule.gamma_value)
-    return 2, 0.0, int(rule.period), gamma
-
-
-# The elementary update formulas below are duplicated inside the simulate()
-# hot loop; they must stay textually identical so that step()-driven replays
-# are bit-identical to engine runs (tests enforce this).
-def _apply_case(
-    values, u: int, v: int, case: RuleCase, alpha: float, gamma: float
-) -> None:
-    xu = values[u]
-    xv = values[v]
-    if case == RuleCase.VANILLA:
-        h = 0.5 * (xu + xv)
-        values[u] = h
-        values[v] = h
-    elif case == RuleCase.CONVEX:
-        beta = 1.0 - alpha
-        values[u] = alpha * xu + beta * xv
-        values[v] = alpha * xv + beta * xu
-    elif case == RuleCase.NONCONVEX:
-        t = gamma * (xv - xu)
-        values[u] = xu + t
-        values[v] = xv - t
-
-
 def step(
     state: StateVector,
     graph,
@@ -236,29 +194,21 @@ def step(
 
     Only the endpoints of ``edge`` may change.  ``cut_ticks`` is the count
     of designated-cut-edge ticks before this one; the returned count
-    includes this tick when it lands on the cut edge.  The state's clock is
-    not advanced here; waiting times come from :func:`next_event`.
+    includes this tick when it lands on the cut edge; rules that never fire
+    the cut transfer leave it unchanged.  The state's clock is not advanced
+    here; waiting times come from :func:`next_event`.
     """
-    eu, ev, kind = graph._flat if isinstance(graph, PartitionedGraph) else _side_flat(graph)
-    mode, alpha, period, gamma = _rule_params(graph, rule)
+    _, _, eu, ev, kind = graph.view
+    rc = compile_rule(graph, rule)
     u, v, k = eu[edge], ev[edge], kind[edge]
-    if mode == 0:
-        case = RuleCase.VANILLA
-    elif mode == 1:
-        case = RuleCase.CONVEX
-    else:
-        if k == KIND_CUT:
-            cut_ticks += 1
-        case = algA_dispatch(k, cut_ticks, period)
+    case = rc.intra if k == KIND_INTRA else rc.cross
+    if k == KIND_CUT and rc.phase >= 0:
+        cut_ticks += 1
+        if cut_ticks % rc.period == rc.phase:
+            case = RuleCase.NONCONVEX
     values = state.values.copy()
-    _apply_case(values, u, v, case, alpha, gamma)
-    return StateVector(values, state.time, state.initial_sum), case, cut_ticks
-
-
-def _side_flat(graph: SideGraph) -> tuple[list[int], list[int], list[int]]:
-    eu = [u - 1 for u, _ in graph.edges]
-    ev = [v - 1 for _, v in graph.edges]
-    return eu, ev, [KIND_INTRA] * len(eu)
+    values[u], values[v] = pair_update(case, values[u], values[v], rc.alpha, rc.gamma)
+    return StateVector(values, state.time, state.initial_sum), RuleCase(case), cut_ticks
 
 
 def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
@@ -268,24 +218,17 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     only, a :class:`SideGraph`.  Reproducible: equal (graph, rule, x0,
     seed) produce bit-identical traces.
     """
-    if isinstance(graph, PartitionedGraph):
-        eu, ev, kind = graph._flat
-        n1 = graph.n1
-        digest = graph.digest()
-    elif isinstance(graph, SideGraph):
-        eu, ev, kind = _side_flat(graph)
-        n1 = graph.n
-        digest = f"side-n{graph.n}-m{len(graph.edges)}"
-    else:
-        raise TypeError("graph must be a PartitionedGraph or SideGraph")
-    n = graph.n
+    n, n1, eu, ev, kind = graph.view
     x = [float(v) for v in np.asarray(x0, dtype=float)]
     if len(x) != n:
         raise ValueError(f"x0 has length {len(x)}, graph has {n} vertices")
+    bad = next((i for i, v in enumerate(x) if not math.isfinite(v)), None)
+    if bad is not None:
+        raise ValueError(f"x0[{bad}] = {x[bad]!r} is not finite")
     m = len(eu)
     if m < 1:
         raise ValueError("graph has no edges")
-    mode, alpha, period, gamma = _rule_params(graph, rule)
+    intra, cross, period, phase, alpha, gamma = compile_rule(graph, rule)
     beta = 1.0 - alpha
 
     rng = np.random.default_rng(np.random.PCG64(config.seed))
@@ -349,6 +292,8 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     max_events = config.max_events
     sample_every = config.sample_every
     recording = log_t is not None
+    VANILLA = int(RuleCase.VANILLA)
+    CONVEX = int(RuleCase.CONVEX)
     NONCONVEX = int(RuleCase.NONCONVEX)
     stop = max_events == 0 or max_time == 0.0
     while not stop:
@@ -365,52 +310,41 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
             u = eu[e]
             v = ev[e]
             ek = kind[e]
-            # counters are rule-independent
+            # tick counters, and the case the compiled rule gives this tick
             if ek == KIND_INTRA:
                 if u < n1:
                     ticks_e1 += 1
                 else:
                     ticks_e2 += 1
+                case = intra
             else:
                 nu12 += 1
+                case = cross
                 if ek == KIND_CUT:
                     k_cut += 1
+                    if k_cut % period == phase:
+                        case = NONCONVEX
+            # inlined rules.pair_update (test_replay_reproduces_final_state_bitwise)
             xu = x[u]
             xv = x[v]
-            if mode == 0:
+            if case == VANILLA:
                 h = 0.5 * (xu + xv)
                 x[u] = h
                 x[v] = h
                 ssq += 2.0 * h * h - xu * xu - xv * xv
                 sm += 2.0 * h - xu - xv
-                case = 1
-            elif mode == 1:
-                nu_ = alpha * xu + beta * xv
-                nv_ = alpha * xv + beta * xu
+            elif case:
+                if case == CONVEX:
+                    nu_ = alpha * xu + beta * xv
+                    nv_ = alpha * xv + beta * xu
+                else:
+                    tr = gamma * (xv - xu)
+                    nu_ = xu + tr
+                    nv_ = xv - tr
                 x[u] = nu_
                 x[v] = nv_
                 ssq += nu_ * nu_ + nv_ * nv_ - xu * xu - xv * xv
                 sm += nu_ + nv_ - xu - xv
-                case = 2
-            else:
-                if ek == KIND_INTRA:
-                    h = 0.5 * (xu + xv)
-                    x[u] = h
-                    x[v] = h
-                    ssq += 2.0 * h * h - xu * xu - xv * xv
-                    sm += 2.0 * h - xu - xv
-                    case = 1
-                elif ek == KIND_CUT and k_cut % period == period - 1:
-                    tr = gamma * (xv - xu)
-                    nu_ = xu + tr
-                    nv_ = xv - tr
-                    x[u] = nu_
-                    x[v] = nv_
-                    ssq += nu_ * nu_ + nv_ * nv_ - xu * xu - xv * xv
-                    sm += nu_ + nv_ - xu - xv
-                    case = 3
-                else:
-                    case = 0
             events += 1
             if recording:
                 log_t.append(t)
@@ -447,18 +381,14 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
         take_sample()
 
     final = StateVector(np.array(x), t, initial_sum)
-    if detect:
-        last_exc: float | None = math.inf if exceeding else last_end
-        first_cr = first_crossing
-    else:
-        last_exc = None
-        first_cr = None
+    # without a detector first_crossing stays None and the ratio is undefined
+    last_exc = (math.inf if exceeding else last_end) if detect else None
 
     meta = {
         "seed": config.seed,
         "rng": RNG_ID,
         "rule": rule.to_text(),
-        "graph": digest,
+        "graph": graph.digest(),
         "n1": n1,
         "n2": n - n1,
         "sample_every": config.sample_every,
@@ -490,29 +420,16 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
         else None,
         states=np.array(s_states) if s_states is not None else None,
         final=final,
-        first_crossing=first_cr,
+        first_crossing=first_crossing,
         last_exceedance=last_exc,
         meta=meta,
     )
 
 
 def replay(graph, rule: RuleDescriptor, x0, event_log: EventLog) -> np.ndarray:
-    """Re-apply a recorded event sequence to x0; returns the final values.
-
-    Uses the recorded case codes directly, so it reproduces an engine run
-    bit for bit.
-    """
-    values = np.asarray(x0, dtype=float).copy()
-    eu, ev, _ = (
-        graph._flat if isinstance(graph, PartitionedGraph) else _side_flat(graph)
-    )
-    _, alpha, _, gamma = _rule_params(graph, rule)
-    for i in range(len(event_log)):
-        e = int(event_log.edges[i])
-        _apply_case(
-            values, eu[e], ev[e], RuleCase(int(event_log.cases[i])), alpha, gamma
-        )
-    return values
+    """Final values after re-applying a recorded event log to x0; the
+    recorded case codes reproduce an engine run bit for bit."""
+    return replay_states(graph, rule, x0, event_log, [len(event_log) - 1])[0]
 
 
 def replay_states(
@@ -522,27 +439,23 @@ def replay_states(
 
     Index -1 selects the initial state.
     """
-    wanted = sorted(at_indices)
+    _, _, eu, ev, _ = graph.view
+    rc = compile_rule(graph, rule)
+    edges = event_log.edges.tolist()
+    cases = event_log.cases.tolist()
     values = np.asarray(x0, dtype=float).copy()
-    eu, ev, _ = (
-        graph._flat if isinstance(graph, PartitionedGraph) else _side_flat(graph)
-    )
-    _, alpha, _, gamma = _rule_params(graph, rule)
     out = []
-    pos = 0
-    for i in range(-1, len(event_log)):
-        if i >= 0:
-            e = int(event_log.edges[i])
-            _apply_case(
-                values, eu[e], ev[e], RuleCase(int(event_log.cases[i])), alpha, gamma
+    i = -1
+    for want in sorted(at_indices):
+        if not -1 <= want < len(edges):
+            raise IndexError("event index beyond the recorded log")
+        while i < want:
+            i += 1
+            u, v = eu[edges[i]], ev[edges[i]]
+            values[u], values[v] = pair_update(
+                cases[i], values[u], values[v], rc.alpha, rc.gamma
             )
-        while pos < len(wanted) and wanted[pos] == i:
-            out.append(values.copy())
-            pos += 1
-        if pos == len(wanted):
-            break
-    if pos != len(wanted):
-        raise IndexError("event index beyond the recorded log")
+        out.append(values.copy())
     return np.array(out)
 
 

@@ -14,10 +14,12 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "FlatView",
     "PartitionedGraph",
     "SideGraph",
     "GraphValidationError",
@@ -56,6 +58,22 @@ class RetryBudgetExceededError(RuntimeError):
     """The random generator failed to draw a connected side within budget."""
 
 
+class FlatView(NamedTuple):
+    """What the engine reads of a graph: sizes plus 0-based parallel edge
+    lists in storage order.  Vertices 0..n1-1 form block one; a view with
+    n1 == n is a single block with no cut edge."""
+
+    n: int
+    n1: int
+    eu: list[int]
+    ev: list[int]
+    kind: list[int]
+
+
+def _flat_view(n: int, n1: int, edges, kind: list[int]) -> FlatView:
+    return FlatView(n, n1, [u - 1 for u, _ in edges], [v - 1 for _, v in edges], kind)
+
+
 @dataclass(frozen=True)
 class PartitionedGraph:
     """Two internally connected blocks joined by cross edges, one designated.
@@ -87,37 +105,17 @@ class PartitionedGraph:
         return len(self.edges_e1) + len(self.edges_e2) + len(self.edges_e12)
 
     @cached_property
-    def _flat(self) -> tuple[list[int], list[int], list[int]]:
-        # 0-based endpoint lists plus kind codes, in E1|E2|E12 storage order.
-        eu: list[int] = []
-        ev: list[int] = []
-        kind: list[int] = []
-        for u, v in self.edges_e1:
-            eu.append(u - 1)
-            ev.append(v - 1)
-            kind.append(KIND_INTRA)
-        for u, v in self.edges_e2:
-            eu.append(u - 1)
-            ev.append(v - 1)
-            kind.append(KIND_INTRA)
-        for i, (u, v) in enumerate(self.edges_e12):
-            eu.append(u - 1)
-            ev.append(v - 1)
-            kind.append(KIND_CUT if i == self.cut_index else KIND_CROSS)
-        return eu, ev, kind
+    def view(self) -> FlatView:
+        """The engine's flat view, edges in E1|E2|E12 storage order."""
+        intra = self.edges_e1 + self.edges_e2
+        kind = [KIND_INTRA] * len(intra) + [KIND_CROSS] * len(self.edges_e12)
+        kind[len(intra) + self.cut_index] = KIND_CUT
+        return _flat_view(self.n, self.n1, intra + self.edges_e12, kind)
 
     def flat_edges(self) -> tuple[list[int], list[int], list[int]]:
         """Return (heads, tails, kinds) as 0-based parallel lists."""
-        eu, ev, kind = self._flat
+        _, _, eu, ev, kind = self.view
         return list(eu), list(ev), list(kind)
-
-    def edge_endpoints(self, index: int) -> tuple[int, int]:
-        """1-based endpoints of the flat edge at ``index``."""
-        eu, ev, _ = self._flat
-        return eu[index] + 1, ev[index] + 1
-
-    def side_of(self, vertex: int) -> int:
-        return 1 if vertex <= self.n1 else 2
 
     def digest(self) -> str:
         """Short content hash of the canonical serialization."""
@@ -130,6 +128,15 @@ class SideGraph:
 
     n: int
     edges: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def view(self) -> FlatView:
+        """The engine's flat view: one block, every edge intra."""
+        return _flat_view(self.n, self.n, self.edges, [KIND_INTRA] * len(self.edges))
+
+    def digest(self) -> str:
+        """Short label recorded in trace metadata."""
+        return f"side-n{self.n}-m{len(self.edges)}"
 
 
 def _connected(n: int, edges, vertices=None) -> bool:

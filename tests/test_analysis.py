@@ -16,6 +16,7 @@ from cutgossip.analysis import (
     estimate_T_av,
     estimate_T_van,
     loglog_slope,
+    resolve_period,
     random_x0,
     run_seed,
     spectral_norm,
@@ -23,7 +24,7 @@ from cutgossip.analysis import (
 )
 from cutgossip.engine import SimConfig, replay_states, simulate
 from cutgossip.graph import build_barbell, side_subgraph
-from cutgossip.rules import RuleCase, RuleDescriptor
+from cutgossip.rules import RuleCase, RuleDescriptor, compute_period
 
 VANILLA = RuleDescriptor("vanilla")
 
@@ -125,6 +126,15 @@ def test_estimator_degenerate_x0():
     g = build_barbell(2, 2)
     with pytest.raises(DegenerateInitialStateError):
         estimate_T_av(g, VANILLA, np.zeros(4), runs=30, horizon=5.0)
+
+
+def test_estimator_offset_x0_variance_lost_to_rounding():
+    # var(x0) survives centering in numpy but rounds to zero in the
+    # engine's sum-of-squares detector at this offset
+    g = build_barbell(8, 8)
+    with pytest.raises(DegenerateInitialStateError, match="center x0"):
+        estimate_T_av(g, VANILLA, worst_cut_x0(g) + 1e8, runs=30, horizon=64.0,
+                      seed=3)
 
 
 def test_estimator_horizon_too_short():
@@ -316,6 +326,15 @@ def test_alg_sweep_small():
     assert all(not c for c in table.column("censored"))
     assert all(g == 1.0 or g > 0 for g in table.column("gamma"))
     assert "slope" in table.comments[0]
+
+
+def test_resolve_period_matches_sweep_row():
+    period, tv1, tv2 = resolve_period(build_barbell(4, 4), 4.0, seed=3, runs=30)
+    assert period == compute_period(tv1, tv2, 8, 4.0)
+    table = algA_scaling_sweep([8], runs=30, tvan_runs=30, seed=3)
+    assert (table.column("P"), table.column("tvan1"), table.column("tvan2")) == (
+        [period], [tv1], [tv2]
+    )
 
 
 def test_alg_sweep_n1_mode_censors_on_equal_blocks():

@@ -18,7 +18,7 @@ from cutgossip.engine import (
     write_trace_jsonl,
 )
 from cutgossip.graph import KIND_CUT, build_barbell, random_partitioned, side_subgraph
-from cutgossip.rules import RuleCase, RuleDescriptor, algA_dispatch
+from cutgossip.rules import RuleCase, RuleDescriptor
 
 
 VANILLA = RuleDescriptor("vanilla")
@@ -185,13 +185,13 @@ def test_recorded_cases_match_dispatch():
         g, rule, worst_cut_x0(g),
         SimConfig(seed=3, max_events=3000, record_events=True),
     )
-    eu, ev, kind = g.flat_edges()
+    state = StateVector.from_values(worst_cut_x0(g))
     k = 0
     for t, e, case in trace.event_log:
-        if kind[e] == KIND_CUT:
-            k += 1
-        assert case is algA_dispatch(kind[e], k, rule.period)
+        state, stepped, k = step(state, g, rule, e, k)
+        assert case is stepped
     assert k == trace.tick_totals["cut"]
+    assert np.array_equal(state.values, trace.final.values)
 
 
 def test_sample_times_strictly_increasing_counts_nondecreasing():
@@ -343,6 +343,15 @@ def test_x0_length_checked():
     g = build_barbell(2, 2)
     with pytest.raises(ValueError, match="length"):
         simulate(g, VANILLA, [1.0, -1.0], SimConfig(seed=1, max_events=10))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_x0_rejected(bad):
+    g = build_barbell(8, 8)
+    x0 = worst_cut_x0(g)
+    x0[3] = bad
+    with pytest.raises(ValueError, match=r"x0\[3\]"):
+        simulate(g, VANILLA, x0, SimConfig(seed=1, max_events=10))
 
 
 def test_replay_states_selects_indices():

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from cutgossip.graph import (
+    KIND_INTRA,
     GraphFormatError,
     GraphValidationError,
     PartitionedGraph,
@@ -218,6 +219,20 @@ def test_flat_edges_cut_designation():
     assert len(cuts) == 1
     u, v = eu[cuts[0]] + 1, ev[cuts[0]] + 1
     assert (u, v) == (g.n1, g.n1 + 1)
+
+
+def test_views_of_both_graph_types():
+    g = random_partitioned(3, 5, 0.9, 0.9, 3, seed=11)
+    n, n1, eu, ev, kind = g.view
+    assert (n, n1) == (8, 3)
+    assert (eu, ev, kind) == g.flat_edges()
+    assert g.view is g.view  # cached
+    side = side_subgraph(g, 2)
+    n, n1, eu, ev, kind = side.view
+    assert n == n1 == 5
+    assert set(kind) == {KIND_INTRA}
+    assert [(u + 1, v + 1) for u, v in zip(eu, ev)] == list(side.edges)
+    assert side.digest() == f"side-n5-m{len(side.edges)}"
 
 
 def test_digest_stable_and_distinct():

@@ -3,30 +3,40 @@ import math
 import numpy as np
 import pytest
 
-from cutgossip.graph import KIND_CROSS, KIND_CUT, KIND_INTRA, build_barbell
+from cutgossip.analysis import worst_cut_x0
+from cutgossip.engine import SimConfig, StateVector, simulate, step
+from cutgossip.graph import (
+    KIND_CROSS, KIND_CUT, KIND_INTRA, build_barbell, random_partitioned,
+    side_subgraph,
+)
 from cutgossip.rules import (
     RuleCase,
     RuleDescriptor,
-    algA_dispatch,
+    compile_rule,
     compute_period,
-    convex_update,
-    nonconvex_cut_update,
+    pair_update,
     parse_rule,
     resolve_gamma,
-    vanilla_update,
 )
+from cutgossip.walks import dominance_check, empirical_increments
+
+VANILLA, CONVEX, NONCONVEX = RuleCase.VANILLA, RuleCase.CONVEX, RuleCase.NONCONVEX
 
 
 def test_vanilla_values():
-    assert vanilla_update(1.0, 3.0) == (2.0, 2.0)
-    assert vanilla_update(0.0, 0.0) == (0.0, 0.0)
-    assert vanilla_update(-1.0, 1.0) == (0.0, 0.0)
+    assert pair_update(VANILLA, 1.0, 3.0) == (2.0, 2.0)
+    assert pair_update(VANILLA, 0.0, 0.0) == (0.0, 0.0)
+    assert pair_update(VANILLA, -1.0, 1.0) == (0.0, 0.0)
+
+
+def test_noop_returns_inputs():
+    assert pair_update(RuleCase.NOOP, 1.0, -3.0, alpha=0.5, gamma=2.0) == (1.0, -3.0)
 
 
 def test_convex_values():
-    assert convex_update(5.0, -2.0, 1.0) == (5.0, -2.0)
-    assert convex_update(1.0, 3.0, 0.5) == (2.0, 2.0)
-    assert convex_update(1.0, 3.0, 0.75) == (1.5, 2.5)
+    assert pair_update(CONVEX, 5.0, -2.0, alpha=1.0) == (5.0, -2.0)
+    assert pair_update(CONVEX, 1.0, 3.0, alpha=0.5) == (2.0, 2.0)
+    assert pair_update(CONVEX, 1.0, 3.0, alpha=0.75) == (1.5, 2.5)
 
 
 def test_convex_stays_in_range_and_preserves_sum():
@@ -34,16 +44,16 @@ def test_convex_stays_in_range_and_preserves_sum():
     for _ in range(500):
         xi, xj = rng.normal(scale=7.0, size=2)
         alpha = float(rng.random())
-        a, b = convex_update(xi, xj, alpha)
+        a, b = pair_update(CONVEX, xi, xj, alpha=alpha)
         lo, hi = min(xi, xj), max(xi, xj)
         assert lo <= a <= hi and lo <= b <= hi
         assert abs((a + b) - (xi + xj)) <= 4 * np.spacing(max(abs(xi), abs(xj), 1.0))
 
 
 def test_nonconvex_values():
-    assert nonconvex_cut_update(1.0, -1.0, 2.0) == (-3.0, 3.0)
-    assert nonconvex_cut_update(5.0, 5.0, 17.0) == (5.0, 5.0)
-    assert nonconvex_cut_update(1.0, -1.0, 1.0) == (-1.0, 1.0)
+    assert pair_update(NONCONVEX, 1.0, -1.0, gamma=2.0) == (-3.0, 3.0)
+    assert pair_update(NONCONVEX, 5.0, 5.0, gamma=17.0) == (5.0, 5.0)
+    assert pair_update(NONCONVEX, 1.0, -1.0, gamma=1.0) == (-1.0, 1.0)
 
 
 def test_nonconvex_sum_preserved():
@@ -51,7 +61,7 @@ def test_nonconvex_sum_preserved():
     for _ in range(500):
         xi, xj = rng.normal(scale=3.0, size=2)
         gamma = float(rng.uniform(0.1, 20.0))
-        a, b = nonconvex_cut_update(xi, xj, gamma)
+        a, b = pair_update(NONCONVEX, xi, xj, gamma=gamma)
         scale = max(abs(a), abs(b), abs(xi), abs(xj), 1.0)
         assert abs((a + b) - (xi + xj)) <= 4 * np.spacing(scale)
 
@@ -62,7 +72,7 @@ def test_balanced_gamma_equalizes_block_means():
     g = build_barbell(2, 2)
     gamma = resolve_gamma(g, "balanced")
     x = [1.0, 1.0, -1.0, -1.0]
-    x[1], x[2] = nonconvex_cut_update(x[1], x[2], gamma)
+    x[1], x[2] = pair_update(NONCONVEX, x[1], x[2], gamma=gamma)
     assert (x[0] + x[1]) / 2 == sum(x) / 4 == (x[2] + x[3]) / 2
 
 
@@ -93,6 +103,16 @@ def test_compute_period_validation():
         compute_period(1.0, 1.0, 4, 0.0)
 
 
+def tick_case(rule, kind, k):
+    # case step() applies on an edge of ``kind`` when that tick is the k-th
+    # cut tick; this graph has intra, plain cross and cut edges
+    g = random_partitioned(2, 2, 1.0, 1.0, 2, seed=3)
+    edge = g.flat_edges()[2].index(kind)
+    before = k - 1 if kind == KIND_CUT else k
+    _, case, _ = step(StateVector.from_values(np.zeros(4)), g, rule, edge, before)
+    return case
+
+
 @pytest.mark.parametrize(
     "kind,k,period,expected",
     [
@@ -107,7 +127,52 @@ def test_compute_period_validation():
     ],
 )
 def test_dispatch(kind, k, period, expected):
-    assert algA_dispatch(kind, k, period) is expected
+    assert tick_case(RuleDescriptor("algA", period=period), kind, k) is expected
+
+
+@pytest.mark.parametrize("rule", [RuleDescriptor("vanilla"),
+                                  RuleDescriptor("convex", alpha=0.4)])
+def test_convex_class_rules_never_fire(rule):
+    assert compile_rule(build_barbell(2, 2), rule).phase == -1
+    expected = VANILLA if rule.kind == "vanilla" else CONVEX
+    for kind in (KIND_INTRA, KIND_CROSS, KIND_CUT):
+        for k in range(1, 5):
+            assert tick_case(rule, kind, k) is expected
+
+
+def test_compile_rule_rejects_alg_without_cut_edge():
+    side = side_subgraph(build_barbell(3, 3), 1)
+    with pytest.raises(ValueError, match="partitioned"):
+        compile_rule(side, RuleDescriptor("algA", period=2))
+    with pytest.raises(ValueError, match="period"):
+        compile_rule(build_barbell(3, 3), RuleDescriptor("algA"))
+
+
+@pytest.mark.parametrize("case", [VANILLA, CONVEX, NONCONVEX])
+def test_kernel_matrix_rows_match_scalars(case):
+    # the epoch-operator path feeds matrix rows, the replay path scalars
+    rng = np.random.default_rng(21)
+    rows = rng.normal(size=(2, 6))
+    ru, rv = pair_update(case, rows[0], rows[1], alpha=0.3, gamma=2.5)
+    for j in range(6):
+        su, sv = pair_update(case, float(rows[0, j]), float(rows[1, j]),
+                             alpha=0.3, gamma=2.5)
+        assert ru[j] == su and rv[j] == sv
+
+
+def test_amplified_transfer_keeps_dominance():
+    # Guards the antisymmetric form t = gamma*(x_v - x_u), x_u + t, x_v - t.
+    # The single mix map (1-gamma)*x_u + gamma*x_v leaves rounding noise that
+    # delays exact consensus and fails this check (heavy-epoch share 0.58).
+    g = build_barbell(16, 16)
+    rule = parse_rule("algA:P=8")
+    increments = []
+    for seed in range(100, 130):
+        trace = simulate(g, rule, worst_cut_x0(g),
+                         SimConfig(seed=seed, max_time=80.0, sample_every=1 << 62))
+        increments.extend(empirical_increments(trace).tolist())
+    report = dominance_check(increments, g.n, slack=0.1 * math.log(g.n))
+    assert report.passed
 
 
 def test_descriptor_text_roundtrip():
