@@ -158,23 +158,24 @@ class AveragingTimeEstimate:
     confidence_level: float
     seed: int
     censored: bool = False
-    traces: list[SimTrace] | None = None
 
 
 def _one_estimator_run(task):
-    graph, rule, x0, seed, horizon, threshold, sample_every, keep = task
+    graph, rule, x0, seed, horizon, threshold = task
+    # A rule that never fires the amplified transfer is a convex pair map,
+    # which never raises the variance: the first crossing is the last
+    # exceedance, so the run stops there.
     cfg = SimConfig(
         seed=seed,
         max_time=horizon,
-        sample_every=sample_every,
+        variance_ratio_target=(
+            threshold if compile_rule(graph, rule).phase < 0 else None
+        ),
+        sample_every=1 << 62,
         ratio_threshold=threshold,
     )
     trace = simulate(graph, rule, x0, cfg)
-    return (
-        trace.first_crossing,
-        trace.last_exceedance,
-        trace if keep else None,
-    )
+    return trace.first_crossing, trace.last_exceedance
 
 
 def _run_batch(tasks, workers: int):
@@ -195,7 +196,6 @@ def estimate_T_av(
     *,
     seed: int = 0,
     workers: int = 1,
-    keep_traces: bool = False,
     n_initial_states: int = 3,
     censor_horizon: bool = False,
 ) -> AveragingTimeEstimate:
@@ -209,6 +209,12 @@ def estimate_T_av(
     horizon/2; otherwise :class:`HorizonTooShortError` (or, with
     ``censor_horizon``, unsettled runs are clamped to the horizon and the
     result is flagged).
+
+    Under convex-class rules (vanilla, convex) no update raises the
+    variance, so each run stops at its first crossing, which is also its
+    last exceedance; the horizon is only a cap.  Runs of the periodic
+    scheme, whose amplified transfers can raise the variance again, go
+    on to the horizon.
     """
     if runs < 30:
         raise ValueError("need at least 30 runs")
@@ -235,32 +241,22 @@ def estimate_T_av(
     else:
         starts = [np.asarray(x0_policy, dtype=float)]
 
-    m = len(graph.view.eu)
-    if keep_traces:
-        sample_every = max(1, int(m * horizon / 800))
-    else:
-        sample_every = 1 << 62
-
     best: AveragingTimeEstimate | None = None
     for j, x0 in enumerate(starts):
         centered = x0 - x0.mean()
         if float(centered @ centered) == 0.0:
             raise DegenerateInitialStateError("initial state has zero variance")
         tasks = [
-            (graph, rule, x0, run_seed(seed, j, r), horizon, threshold,
-             sample_every, keep_traces)
+            (graph, rule, x0, run_seed(seed, j, r), horizon, threshold)
             for r in range(runs)
         ]
         results = _run_batch(tasks, workers)
-        if any(le is None for _, le, _ in results):  # var0 rounded to zero
+        if any(le is None for _, le in results):  # var0 rounded to zero
             raise DegenerateInitialStateError(
                 "var(x0) is lost to rounding against its mean; center x0 first"
             )
-        firsts = np.array(
-            [math.nan if fc is None else fc for fc, _, _ in results]
-        )
-        lasts = np.array([le for _, le, _ in results])
-        traces = [tr for _, _, tr in results] if keep_traces else None
+        firsts = np.array([math.nan if fc is None else fc for fc, _ in results])
+        lasts = np.array([le for _, le in results])
 
         censored = False
         settled = float(np.mean(lasts <= horizon / 2))
@@ -287,7 +283,6 @@ def estimate_T_av(
             confidence_level=confidence_level,
             seed=run_seed(seed, j, 0),
             censored=censored,
-            traces=traces,
         )
         if best is None or est.t_hat > best.t_hat:
             best = est
@@ -297,14 +292,16 @@ def estimate_T_av(
 def estimate_T_van(
     subgraph: SideGraph,
     runs: int = 100,
-    horizon: float = 4.0,
+    horizon: float = 256.0,
     *,
     seed: int = 0,
     workers: int = 1,
 ) -> float:
     """Averaging time of the plain pairwise mean on an isolated block.
 
-    A single-vertex block averages instantly and returns 0.
+    Each run stops at its first crossing, so the horizon is only a cap:
+    a longer one changes no settled run and costs nothing for runs that
+    settle early.  A single-vertex block averages instantly and returns 0.
     """
     if not isinstance(subgraph, SideGraph):
         raise TypeError("expected a SideGraph (see side_subgraph)")
@@ -322,28 +319,14 @@ def estimate_T_van(
     return est.t_hat
 
 
-def _tvan_with_growth(
-    side: SideGraph, runs: int, seed: int, horizon: float = 4.0
-) -> float:
-    # Doubles the horizon on failure; block averaging times are not known
-    # a priori when resolving the firing period.
-    for _ in range(7):
-        try:
-            return estimate_T_van(side, runs, horizon, seed=seed)
-        except HorizonTooShortError:
-            horizon *= 2.0
-    raise HorizonTooShortError(
-        f"block averaging time did not settle below horizon {horizon / 2}"
-    )
-
-
 def resolve_period(
     g: PartitionedGraph, c_const: float, seed: int, runs: int
 ) -> tuple[int, float, float]:
     """Firing period of the periodic scheme on ``g`` from block averaging
-    times estimated with ``runs`` runs each; returns (period, tv1, tv2)."""
-    tv1 = _tvan_with_growth(side_subgraph(g, 1), runs, seed + _TVAN1_OFFSET)
-    tv2 = _tvan_with_growth(side_subgraph(g, 2), runs, seed + _TVAN2_OFFSET)
+    times estimated with ``runs`` runs each, at the default horizon cap
+    of :func:`estimate_T_van`; returns (period, tv1, tv2)."""
+    tv1 = estimate_T_van(side_subgraph(g, 1), runs, seed=seed + _TVAN1_OFFSET)
+    tv2 = estimate_T_van(side_subgraph(g, 2), runs, seed=seed + _TVAN2_OFFSET)
     return compute_period(tv1, tv2, g.n, c_const), tv1, tv2
 
 
@@ -473,11 +456,6 @@ def loglog_slope(xs, ys) -> float:
                             np.log(np.asarray(ys, float)), 1)[0])
 
 
-def _nu_at(trace: SimTrace, t: float) -> int:
-    i = int(np.searchsorted(trace.times, t, side="right")) - 1
-    return int(trace.nu12[max(i, 0)])
-
-
 CONVEX_SWEEP_COLUMNS = [
     "n", "n1", "n2", "e12", "rule", "runs", "horizon", "seed_start",
     "seed_end", "t_hat", "exceed_fraction", "bound", "t_hat_ge_bound",
@@ -497,9 +475,10 @@ def convex_lower_bound_sweep(
     """Averaging-time scaling of a convex-class rule on equal-block
     barbells, checked against the 0.1*n1/|E12| floor.
 
-    Each row also reports the mean number of cross-edge ticks by the
-    estimated time next to the (1-1/e)*n1/4 ticks the bottleneck argument
-    requires.
+    Runs stop at their first crossing, so the horizon is only a cap.
+    Each row also reports the expected number of cross-edge ticks by the
+    estimated time, |E12|*t_hat (each cross edge ticks at rate 1), next
+    to the (1-1/e)*n1/4 ticks the bottleneck argument requires.
     """
     if rule.kind == "algA":
         raise ValueError("the sweep is for convex-class rules")
@@ -515,16 +494,15 @@ def convex_lower_bound_sweep(
         horizon = max(16.0, horizon_factor * g.n1)
         est = estimate_T_av(
             g, rule, "worst_cut", runs, horizon,
-            seed=master, workers=workers, keep_traces=True,
+            seed=master, workers=workers,
         )
         e12 = len(g.edges_e12)
         bound = 0.1 * g.n1 / e12
-        nu_mean = float(np.mean([_nu_at(tr, est.t_hat) for tr in est.traces]))
         rows.append([
             n, g.n1, g.n2, e12, rule.to_text(), runs, horizon,
             run_seed(master, 0, 0), run_seed(master, 0, runs - 1),
             est.t_hat, est.exceed_fraction_at_t_hat, bound,
-            est.t_hat >= bound, nu_mean,
+            est.t_hat >= bound, e12 * est.t_hat,
             (1.0 - 1.0 / math.e) * g.n1 / 4.0,
         ])
         t_hats.append(est.t_hat)

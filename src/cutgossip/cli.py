@@ -126,19 +126,12 @@ def parse_graph_spec(spec: str, seed: int) -> graphmod.PartitionedGraph:
     raise ConfigError(f"unknown graph spec kind {kind!r}")
 
 
-def _parse_rule(text: str) -> RuleDescriptor:
-    try:
-        return parse_rule(text)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _resolved_rule(
     cfg: ExperimentConfig, g: graphmod.PartitionedGraph
 ) -> RuleDescriptor:
     """The configured rule; an algA rule without P gets its firing period
     from block averaging-time estimates (60 runs each)."""
-    rule = _parse_rule(cfg.rule)
+    rule = parse_rule(cfg.rule)
     if rule.kind == "algA" and rule.period is None:
         period, _, _ = analysis.resolve_period(g, rule.c_const, cfg.seed, runs=60)
         rule = replace(rule, period=period)
@@ -198,31 +191,28 @@ def _initial_state(policy: str, g: graphmod.PartitionedGraph, seed: int):
 def cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     g = parse_graph_spec(cfg.graph, cfg.seed)
-    try:
-        if args.side is not None:
-            side = graphmod.side_subgraph(g, args.side)
-            t_hat = analysis.estimate_T_van(
-                side, cfg.runs, cfg.horizon, seed=cfg.seed, workers=cfg.workers
-            )
-            _emit(
-                {
-                    "kind": "block_vanilla",
-                    "side": args.side,
-                    "t_hat": t_hat,
-                    "runs": cfg.runs,
-                    "horizon": cfg.horizon,
-                    "seed": cfg.seed,
-                },
-                cfg.out,
-            )
-            return 0
-        rule = _resolved_rule(cfg, g)
-        est = analysis.estimate_T_av(
-            g, rule, cfg.x0, cfg.runs, cfg.horizon,
-            seed=cfg.seed, workers=cfg.workers,
+    if args.side is not None:
+        side = graphmod.side_subgraph(g, args.side)
+        t_hat = analysis.estimate_T_van(
+            side, cfg.runs, cfg.horizon, seed=cfg.seed, workers=cfg.workers
         )
-    except (analysis.HorizonTooShortError, analysis.DegenerateInitialStateError) as exc:
-        raise ConfigError(str(exc)) from exc
+        _emit(
+            {
+                "kind": "block_vanilla",
+                "side": args.side,
+                "t_hat": t_hat,
+                "runs": cfg.runs,
+                "horizon": cfg.horizon,
+                "seed": cfg.seed,
+            },
+            cfg.out,
+        )
+        return 0
+    rule = _resolved_rule(cfg, g)
+    est = analysis.estimate_T_av(
+        g, rule, cfg.x0, cfg.runs, cfg.horizon,
+        seed=cfg.seed, workers=cfg.workers,
+    )
     _emit(
         {
             "kind": "averaging_time",
@@ -248,24 +238,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         n_values = [int(v) for v in cfg.n.split(",") if v]
     except ValueError as exc:
         raise ConfigError(f"bad n list {cfg.n!r}") from exc
-    rule = _parse_rule(cfg.rule)
-    try:
-        if rule.kind == "algA":
-            table = analysis.algA_scaling_sweep(
-                n_values,
-                c_const=rule.c_const,
-                gamma_mode=rule.gamma_mode,
-                gamma_value=rule.gamma_value,
-                runs=cfg.runs,
-                seed=cfg.seed,
-                workers=cfg.workers,
-            )
-        else:
-            table = analysis.convex_lower_bound_sweep(
-                n_values, rule, cfg.runs, seed=cfg.seed, workers=cfg.workers
-            )
-    except (ValueError, analysis.HorizonTooShortError) as exc:
-        raise ConfigError(str(exc)) from exc
+    rule = parse_rule(cfg.rule)
+    if rule.kind == "algA":
+        table = analysis.algA_scaling_sweep(
+            n_values,
+            c_const=rule.c_const,
+            gamma_mode=rule.gamma_mode,
+            gamma_value=rule.gamma_value,
+            runs=cfg.runs,
+            seed=cfg.seed,
+            workers=cfg.workers,
+        )
+    else:
+        table = analysis.convex_lower_bound_sweep(
+            n_values, rule, cfg.runs, seed=cfg.seed, workers=cfg.workers
+        )
     if cfg.out:
         table.to_csv(cfg.out)
         print(f"wrote {cfg.out}: {len(table.rows)} rows; {table.comments[-1]}")
@@ -486,10 +473,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    # ValueError covers ConfigError and every rejected argument value
+    except (ValueError, analysis.HorizonTooShortError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

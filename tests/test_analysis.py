@@ -23,8 +23,8 @@ from cutgossip.analysis import (
     worst_cut_x0,
 )
 from cutgossip.engine import SimConfig, replay_states, simulate
-from cutgossip.graph import build_barbell, side_subgraph
-from cutgossip.rules import RuleCase, RuleDescriptor, compute_period
+from cutgossip.graph import build_barbell, build_from_edge_list, side_subgraph
+from cutgossip.rules import RuleCase, RuleDescriptor, compute_period, parse_rule
 
 VANILLA = RuleDescriptor("vanilla")
 
@@ -172,6 +172,30 @@ def test_estimator_random_policy_max_over_starts():
     est = estimate_T_av(g, VANILLA, "random", runs=30, horizon=30.0, seed=7,
                         n_initial_states=2)
     assert est.t_hat > 0
+
+
+@pytest.mark.parametrize("text", [
+    "vanilla", "convex:a=0.3", "algA:P=3,gamma=balanced",
+])
+def test_estimator_early_stop_is_exact(text):
+    # convex-class runs stop at their first crossing; the crossings must
+    # equal those of full-horizon runs, and algA runs must not stop early
+    g = build_barbell(4, 4)
+    rule = parse_rule(text)
+    est = estimate_T_av(g, rule, "worst_cut", runs=30, horizon=40.0, seed=1)
+    assert not est.censored
+    traces = [
+        simulate(g, rule, worst_cut_x0(g),
+                 SimConfig(seed=run_seed(1, 0, r), max_time=40.0,
+                           sample_every=1 << 62))
+        for r in range(30)
+    ]
+    firsts = np.array([tr.first_crossing for tr in traces])
+    lasts = np.array([tr.last_exceedance for tr in traces])
+    assert est.first_crossings.tobytes() == firsts.tobytes()
+    assert est.last_exceedances.tobytes() == lasts.tobytes()
+    if rule.kind == "algA":
+        assert np.any(lasts > firsts)
 
 
 def test_estimator_deterministic_and_worker_invariant():
@@ -334,6 +358,18 @@ def test_resolve_period_matches_sweep_row():
     table = algA_scaling_sweep([8], runs=30, tvan_runs=30, seed=3)
     assert (table.column("P"), table.column("tvan1"), table.column("tvan2")) == (
         [period], [tv1], [tv2]
+    )
+
+
+def test_resolve_period_on_slow_path_blocks():
+    # path blocks average slowly (T_van ~ 13, against ~1 for complete
+    # blocks); the pinned values hold for any horizon cap that lets the
+    # estimate settle
+    path = ([(i, i + 1, "E1") for i in range(1, 8)]
+            + [(i, i + 1, "E2") for i in range(9, 16)] + [(8, 9, "E12")])
+    g, _ = build_from_edge_list(16, range(1, 9), path, (8, 9))
+    assert resolve_period(g, 4.0, seed=3, runs=30) == (
+        282, 13.032635999559972, 12.33104284781698
     )
 
 

@@ -81,6 +81,20 @@ def test_malformed_rule_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--graph", "barbell:2,2", "--runs", "10"],
+    ["simulate", "--graph", "barbell:2,2", "--max-events", "10",
+     "--sample-every", "0"],
+    ["simulate", "--graph", "barbell:2,2", "--max-events", "-1"],
+    ["check", "dominance", "--graph", "barbell:4,4", "--rule", "algA:P=3",
+     "--min-increments", "10"],
+])
+def test_rejected_values_exit_2(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_estimate_two_vertex(tmp_path, capsys):
     out = tmp_path / "est.json"
     code, _, _ = run_cli(
