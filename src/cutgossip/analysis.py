@@ -2,10 +2,10 @@
 
 The averaging-time estimator operationalizes the variance-ratio
 definition: a run's *last exceedance* is the supremum of times at which
-var X(t)/var X(0) still exceeded the threshold, and the estimate is the
-smallest time t such that fewer than a ``confidence_level`` fraction of
-runs exceed anywhere after t, i.e. an order statistic of the per-run last
-exceedances at quantile 1 - confidence_level.
+var X(t)/var X(0) still exceeded e^-2, and the estimate is the smallest
+time t such that fewer than a 1/e fraction of runs exceed anywhere after
+t, i.e. an order statistic of the per-run last exceedances at quantile
+1 - 1/e.  This is the averaging time with epsilon = 1/e fixed.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .engine import (
-    DEFAULT_RATIO_THRESHOLD,
     SimConfig,
     SimTrace,
     StateVector,
     _side_metrics,
     simulate,
+    sum_sq_dev,
 )
 from .graph import PartitionedGraph, SideGraph, side_subgraph
 from .rules import (
@@ -53,7 +53,8 @@ __all__ = [
     "algA_scaling_sweep",
 ]
 
-DEFAULT_CONFIDENCE = 1.0 / math.e
+# Fraction of runs allowed to exceed the threshold after the estimate.
+CONFIDENCE = 1.0 / math.e
 
 # Seed expansion: run r of stream s under master seed m uses
 # m + 1_000_003*s + r; sweep point p shifts the master by 104_729*p.
@@ -61,6 +62,10 @@ DEFAULT_CONFIDENCE = 1.0 / math.e
 # integers give statistically independent generators.
 _STREAM_STRIDE = 1_000_003
 _POINT_STRIDE = 104_729
+# Stream of random start j in estimate_T_av, and of the dominance check's
+# runs in the CLI.
+STREAM_RANDOM_X0 = 900
+STREAM_DOMINANCE = 5
 # Period resolution shifts the master by these for block one's and two's T_van.
 _TVAN1_OFFSET = 500_000_003
 _TVAN2_OFFSET = 600_000_007
@@ -154,25 +159,20 @@ class AveragingTimeEstimate:
     exceed_fraction_at_t_hat: float
     first_crossings: np.ndarray
     last_exceedances: np.ndarray
-    threshold: float
-    confidence_level: float
     seed: int
     censored: bool = False
 
 
 def _one_estimator_run(task):
-    graph, rule, x0, seed, horizon, threshold = task
+    graph, rule, x0, seed, horizon = task
     # A rule that never fires the amplified transfer is a convex pair map,
     # which never raises the variance: the first crossing is the last
     # exceedance, so the run stops there.
     cfg = SimConfig(
         seed=seed,
         max_time=horizon,
-        variance_ratio_target=(
-            threshold if compile_rule(graph, rule).phase < 0 else None
-        ),
+        stop_at_crossing=compile_rule(graph, rule).phase < 0,
         sample_every=1 << 62,
-        ratio_threshold=threshold,
     )
     trace = simulate(graph, rule, x0, cfg)
     return trace.first_crossing, trace.last_exceedance
@@ -191,8 +191,6 @@ def estimate_T_av(
     x0_policy="worst_cut",
     runs: int = 100,
     horizon: float = 0.0,
-    threshold: float = DEFAULT_RATIO_THRESHOLD,
-    confidence_level: float = DEFAULT_CONFIDENCE,
     *,
     seed: int = 0,
     workers: int = 1,
@@ -220,8 +218,6 @@ def estimate_T_av(
         raise ValueError("need at least 30 runs")
     if not horizon > 0:
         raise ValueError("horizon must be positive")
-    if not (0.0 < threshold < 1.0 and 0.0 < confidence_level < 1.0):
-        raise ValueError("threshold and confidence_level must be in (0, 1)")
 
     if isinstance(x0_policy, str):
         if x0_policy == "worst_cut":
@@ -232,7 +228,7 @@ def estimate_T_av(
             starts = [
                 random_x0(
                     graph.n,
-                    np.random.default_rng(run_seed(seed, 900 + j, 0)),
+                    np.random.default_rng(run_seed(seed, STREAM_RANDOM_X0 + j, 0)),
                 )
                 for j in range(n_initial_states)
             ]
@@ -243,18 +239,14 @@ def estimate_T_av(
 
     best: AveragingTimeEstimate | None = None
     for j, x0 in enumerate(starts):
-        centered = x0 - x0.mean()
-        if float(centered @ centered) == 0.0:
+        # the engine's own reference, so its detector is on in every run
+        if sum_sq_dev(x0.tolist()) == 0.0:
             raise DegenerateInitialStateError("initial state has zero variance")
         tasks = [
-            (graph, rule, x0, run_seed(seed, j, r), horizon, threshold)
+            (graph, rule, x0, run_seed(seed, j, r), horizon)
             for r in range(runs)
         ]
         results = _run_batch(tasks, workers)
-        if any(le is None for _, le in results):  # var0 rounded to zero
-            raise DegenerateInitialStateError(
-                "var(x0) is lost to rounding against its mean; center x0 first"
-            )
         firsts = np.array([math.nan if fc is None else fc for fc, _ in results])
         lasts = np.array([le for _, le in results])
 
@@ -269,7 +261,7 @@ def estimate_T_av(
             lasts = np.minimum(lasts, horizon)
             censored = True
 
-        k_min = int(math.floor(runs * (1.0 - confidence_level))) + 1
+        k_min = int(math.floor(runs * (1.0 - CONFIDENCE))) + 1
         t_hat = float(np.partition(lasts, k_min - 1)[k_min - 1])
         exceed = float(np.mean(lasts > t_hat))
         est = AveragingTimeEstimate(
@@ -279,8 +271,6 @@ def estimate_T_av(
             exceed_fraction_at_t_hat=exceed,
             first_crossings=firsts,
             last_exceedances=lasts,
-            threshold=threshold,
-            confidence_level=confidence_level,
             seed=run_seed(seed, j, 0),
             censored=censored,
         )
@@ -469,7 +459,6 @@ def convex_lower_bound_sweep(
     runs: int = 100,
     *,
     seed: int = 0,
-    horizon_factor: float = 4.0,
     workers: int = 1,
 ) -> SweepTable:
     """Averaging-time scaling of a convex-class rule on equal-block
@@ -491,7 +480,7 @@ def convex_lower_bound_sweep(
             raise ValueError("block family needs even n >= 2")
         g = build_barbell(n // 2, n // 2)
         master = seed + _POINT_STRIDE * p
-        horizon = max(16.0, horizon_factor * g.n1)
+        horizon = max(16.0, 4.0 * g.n1)
         est = estimate_T_av(
             g, rule, "worst_cut", runs, horizon,
             seed=master, workers=workers,

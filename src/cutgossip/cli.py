@@ -221,8 +221,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "runs": est.runs,
             "horizon": est.horizon,
             "exceed_fraction_at_t_hat": est.exceed_fraction_at_t_hat,
-            "threshold": est.threshold,
-            "confidence_level": est.confidence_level,
+            "threshold": engine.RATIO_THRESHOLD,
+            "confidence_level": analysis.CONFIDENCE,
             "seed": cfg.seed,
         },
         cfg.out,
@@ -300,6 +300,8 @@ def _check_tail() -> dict:
 
 
 def _check_dominance(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
+    if args.min_increments < walks.MIN_INCREMENTS:
+        raise ConfigError(f"--min-increments must be at least {walks.MIN_INCREMENTS}")
     g = parse_graph_spec(cfg.graph, cfg.seed)
     rule = _resolved_rule(cfg, g)
     if rule.kind != "algA":
@@ -310,7 +312,7 @@ def _check_dominance(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
     horizon = 25.0 * rule.period
     while len(increments) < args.min_increments and run < 200:
         sim_cfg = engine.SimConfig(
-            seed=analysis.run_seed(cfg.seed, 5, run),
+            seed=analysis.run_seed(cfg.seed, analysis.STREAM_DOMINANCE, run),
             max_time=horizon,
             sample_every=1 << 62,
         )

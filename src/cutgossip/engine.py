@@ -37,7 +37,9 @@ __all__ = [
 RNG_ID = "numpy-PCG64/chunk4096"
 _CHUNK = 4096
 
-DEFAULT_RATIO_THRESHOLD = math.exp(-2.0)
+# The averaging time uses epsilon = 1/e: a run has settled once
+# var X(t) / var X(0) <= epsilon^2 = e^-2.
+RATIO_THRESHOLD = math.exp(-2.0)
 
 
 @dataclass
@@ -58,36 +60,33 @@ class StateVector:
 class SimConfig:
     """Run parameters.  Stopping occurs at whichever criterion triggers first.
 
-    ``variance_ratio_target`` stops once var(X)/var(X0) falls to or below
-    the target; rules that never contract (e.g. the gamma="n1" scheme on
-    equal blocks) may never reach it, so pair it with a time or event cap.
-    ``sample_every`` is an event-count stride; metric samples are also
-    forced at every firing of the amplified cut transfer so epoch
-    boundaries always carry a variance sample.
+    At least one of ``max_time`` and ``max_events`` is required.
+    ``stop_at_crossing`` also stops the run at its first crossing, the
+    first event after which var(X)/var(X0) <= :data:`RATIO_THRESHOLD`;
+    rules that never contract (e.g. the gamma="n1" scheme on equal
+    blocks) may never cross, so the cap still applies.  ``sample_every``
+    is an event-count stride; metric samples are also forced at every
+    firing of the amplified cut transfer so epoch boundaries always carry
+    a variance sample.
     """
 
     seed: int
     max_time: float | None = None
     max_events: int | None = None
-    variance_ratio_target: float | None = None
+    stop_at_crossing: bool = False
     sample_every: int = 1
     record_events: bool = False
     record_states: bool = False
-    ratio_threshold: float = DEFAULT_RATIO_THRESHOLD
 
     def __post_init__(self) -> None:
-        if self.max_time is None and self.max_events is None and (
-            self.variance_ratio_target is None
-        ):
-            raise ValueError("at least one stop criterion must be set")
+        if self.max_time is None and self.max_events is None:
+            raise ValueError("set max_time and/or max_events")
         if self.max_time is not None and self.max_time < 0:
             raise ValueError("max_time must be nonnegative")
         if self.max_events is not None and self.max_events < 0:
             raise ValueError("max_events must be nonnegative")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
-        if not (0.0 < self.ratio_threshold < 1.0):
-            raise ValueError("ratio_threshold must be in (0, 1)")
 
 
 @dataclass
@@ -120,7 +119,7 @@ class SimTrace:
     with ``epoch_sample_idx`` locating the forced sample taken just after
     each firing (and ``epoch_event_idx`` its position in the event log,
     when one was recorded).  ``first_crossing`` is the first event time at
-    which the variance ratio reached the configured threshold or below;
+    which the variance ratio reached :data:`RATIO_THRESHOLD` or below;
     ``last_exceedance`` is the supremum of times with ratio above the
     threshold (+inf when the run still exceeded it at the stop time, None
     when the initial variance is zero and the ratio is undefined).
@@ -173,6 +172,21 @@ def _side_metrics(arr: np.ndarray, n1: int) -> tuple[float, float, float, float]
     return mu1, mu2, sigma, var
 
 
+def sum_sq_dev(x: list[float]) -> float:
+    """S = sum((x - mean)^2) of a start vector, the variance detector's
+    reference, summed exactly; ValueError if an entry or S is not finite."""
+    if not x:
+        raise ValueError("x0 is empty")
+    bad = next((i for i, v in enumerate(x) if not math.isfinite(v)), None)
+    if bad is not None:
+        raise ValueError(f"x0[{bad}] = {x[bad]!r} is not finite")
+    mean = math.fsum(x) / len(x)
+    s = math.fsum((v - mean) * (v - mean) for v in x)
+    if not math.isfinite(s):
+        raise ValueError("var(x0) overflows a float; rescale x0")
+    return s
+
+
 def next_event(rng: np.random.Generator, edge_count: int) -> tuple[float, int]:
     """Draw one merged-clock event: waiting time Exp(edge_count) and a
     uniformly random edge index."""
@@ -222,9 +236,8 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     x = [float(v) for v in np.asarray(x0, dtype=float)]
     if len(x) != n:
         raise ValueError(f"x0 has length {len(x)}, graph has {n} vertices")
-    bad = next((i for i, v in enumerate(x) if not math.isfinite(v)), None)
-    if bad is not None:
-        raise ValueError(f"x0[{bad}] = {x[bad]!r} is not finite")
+    ss = sum_sq_dev(x)
+    initial_sum = math.fsum(x)
     m = len(eu)
     if m < 1:
         raise ValueError("graph has no edges")
@@ -233,24 +246,18 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
 
     rng = np.random.default_rng(np.random.PCG64(config.seed))
     inv_m = 1.0 / m
-    inv_n = 1.0 / n
 
-    # Incremental variance detector: var about the running mean from the
-    # tracked sum and sum of squares.  Absolute drift over 1e6 events is
-    # ~1e-12 at unit scale, far below the threshold comparisons it feeds;
-    # recorded samples recompute metrics exactly from the state instead.
-    sm = math.fsum(x)
-    initial_sum = sm
-    ssq = math.fsum(v * v for v in x)
-    var0 = max((ssq - sm * sm * inv_n) * inv_n, 0.0)
-    detect = var0 > 0.0
-    thr_abs = config.ratio_threshold * var0
-    target_abs = (
-        config.variance_ratio_target * var0
-        if (config.variance_ratio_target is not None and detect)
-        else None
-    )
-    exceeding = detect  # ratio at t=0 is 1, above any threshold in (0, 1)
+    # Variance detector on S = sum((x - mean)^2).  The pair map
+    # x_u' = (1-c)x_u + c*x_v, x_v' = c*x_u + (1-c)x_v lowers S by exactly
+    # 2c(1-c)(x_v - x_u)^2, whatever the mean, so a shifted or scaled x0
+    # settles at the same event.  Over 1e6 events the running S drifts by
+    # ~1e-12 S0 (~1e-7 S0 at an offset of 1e8 sd), far below the threshold
+    # it is compared with; recorded samples recompute metrics exactly.
+    k_convex = 2.0 * alpha * beta
+    k_fire = 2.0 * gamma * (1.0 - gamma)
+    detect = ss > 0.0
+    ss_thr = RATIO_THRESHOLD * ss
+    exceeding = detect  # ratio at t=0 is 1, above the threshold
     first_crossing: float | None = None
     last_end = 0.0
 
@@ -327,39 +334,26 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
             # inlined rules.pair_update (test_replay_reproduces_final_state_bitwise)
             xu = x[u]
             xv = x[v]
+            d = xv - xu
             if case == VANILLA:
                 h = 0.5 * (xu + xv)
                 x[u] = h
                 x[v] = h
-                ssq += 2.0 * h * h - xu * xu - xv * xv
-                sm += 2.0 * h - xu - xv
+                ss -= 0.5 * d * d
+            elif case == CONVEX:
+                x[u] = alpha * xu + beta * xv
+                x[v] = alpha * xv + beta * xu
+                ss -= k_convex * d * d
             elif case:
-                if case == CONVEX:
-                    nu_ = alpha * xu + beta * xv
-                    nv_ = alpha * xv + beta * xu
-                else:
-                    tr = gamma * (xv - xu)
-                    nu_ = xu + tr
-                    nv_ = xv - tr
-                x[u] = nu_
-                x[v] = nv_
-                ssq += nu_ * nu_ + nv_ * nv_ - xu * xu - xv * xv
-                sm += nu_ + nv_ - xu - xv
+                tr = gamma * d
+                x[u] = xu + tr
+                x[v] = xv - tr
+                ss -= k_fire * d * d
             events += 1
             if recording:
                 log_t.append(t)
                 log_e.append(e)
                 log_c.append(case)
-            if detect:
-                var_now = (ssq - sm * sm * inv_n) * inv_n
-                if exceeding:
-                    last_end = t
-                    if var_now <= thr_abs:
-                        exceeding = False
-                        if first_crossing is None:
-                            first_crossing = t
-                elif var_now > thr_abs:
-                    exceeding = True
             fired = case == NONCONVEX
             if fired or events % sample_every == 0:
                 take_sample()
@@ -368,14 +362,21 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
                     mark_sidx.append(len(s_times) - 1)
                     if recording:
                         mark_eidx.append(events - 1)
+            if detect:
+                if exceeding:
+                    last_end = t
+                    if ss <= ss_thr:
+                        exceeding = False
+                        if first_crossing is None:
+                            first_crossing = t
+                            if config.stop_at_crossing:
+                                stop = True
+                                break
+                elif ss > ss_thr:
+                    exceeding = True
             if max_events is not None and events >= max_events:
                 stop = True
                 break
-            if target_abs is not None and not exceeding:
-                var_now = (ssq - sm * sm * inv_n) * inv_n
-                if var_now <= target_abs:
-                    stop = True
-                    break
 
     if s_times[-1] != t:
         take_sample()
@@ -392,7 +393,7 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
         "n1": n1,
         "n2": n - n1,
         "sample_every": config.sample_every,
-        "ratio_threshold": config.ratio_threshold,
+        "ratio_threshold": RATIO_THRESHOLD,
     }
     return SimTrace(
         times=np.array(s_times),

@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 EXACT_TAIL_LIMIT = 40
+# Fewest epoch increments a dominance check accepts.
+MIN_INCREMENTS = 100
 
 
 @dataclass(frozen=True)
@@ -141,8 +143,8 @@ def dominance_check(
     domination work).
     """
     incr = np.asarray(increments, dtype=float)
-    if incr.size < 100:
-        raise ValueError(f"need at least 100 increments, got {incr.size}")
+    if incr.size < MIN_INCREMENTS:
+        raise ValueError(f"need at least {MIN_INCREMENTS} increments, got {incr.size}")
     cap = math.log(n)
     report = DominanceReport(
         n=n,

@@ -128,13 +128,16 @@ def test_estimator_degenerate_x0():
         estimate_T_av(g, VANILLA, np.zeros(4), runs=30, horizon=5.0)
 
 
-def test_estimator_offset_x0_variance_lost_to_rounding():
-    # var(x0) survives centering in numpy but rounds to zero in the
-    # engine's sum-of-squares detector at this offset
+def test_estimator_offset_x0_equivariant():
+    # the detector tracks sum((x - mean)^2) through mean-free updates, so a
+    # large offset and a scale leave every run's crossing unchanged
     g = build_barbell(8, 8)
-    with pytest.raises(DegenerateInitialStateError, match="center x0"):
-        estimate_T_av(g, VANILLA, worst_cut_x0(g) + 1e8, runs=30, horizon=64.0,
-                      seed=3)
+    kw = dict(runs=30, horizon=64.0, seed=3)
+    base = estimate_T_av(g, VANILLA, worst_cut_x0(g), **kw)
+    moved = estimate_T_av(g, VANILLA, 0.37 * worst_cut_x0(g) + 1e8, **kw)
+    assert moved.t_hat == base.t_hat
+    assert np.array_equal(moved.last_exceedances, base.last_exceedances)
+    assert np.array_equal(moved.first_crossings, base.first_crossings)
 
 
 def test_estimator_horizon_too_short():

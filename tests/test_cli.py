@@ -93,6 +93,8 @@ def test_rejected_values_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
+    if "--min-increments" in argv:  # rejected before any simulation
+        assert "--min-increments" in err
 
 
 def test_estimate_two_vertex(tmp_path, capsys):

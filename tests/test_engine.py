@@ -295,13 +295,18 @@ def test_convex_range_never_expands():
 
 
 def test_variance_ratio_target_stop():
+    # stop_at_crossing ends the run at the event of its first crossing
     g = build_barbell(4, 4)
+    x0 = worst_cut_x0(g)
     trace = simulate(
-        g, VANILLA, worst_cut_x0(g),
-        SimConfig(seed=3, max_events=10**7, variance_ratio_target=0.01),
+        g, VANILLA, x0,
+        SimConfig(seed=3, max_events=10**7, stop_at_crossing=True),
     )
-    assert trace.var[-1] <= 0.01 * trace.var[0]
-    assert trace.n_events < 10**7
+    assert trace.final.time == trace.first_crossing == trace.last_exceedance
+    assert trace.var[-1] <= math.exp(-2.0) * trace.var[0]
+    full = simulate(g, VANILLA, x0, SimConfig(seed=3, max_events=10**4))
+    assert full.first_crossing == trace.first_crossing
+    assert full.n_events > trace.n_events
 
 
 def test_horizon_stop_sets_final_time():
@@ -335,8 +340,6 @@ def test_config_validation():
         SimConfig(seed=1, max_events=10, sample_every=0)
     with pytest.raises(ValueError):
         SimConfig(seed=1, max_time=-1.0)
-    with pytest.raises(ValueError):
-        SimConfig(seed=1, max_events=10, ratio_threshold=1.5)
 
 
 def test_x0_length_checked():
@@ -352,6 +355,14 @@ def test_non_finite_x0_rejected(bad):
     x0[3] = bad
     with pytest.raises(ValueError, match=r"x0\[3\]"):
         simulate(g, VANILLA, x0, SimConfig(seed=1, max_events=10))
+
+
+def test_overflowing_x0_rejected():
+    # every entry is finite, but var(x0) overflows a float
+    g = build_barbell(8, 8)
+    with pytest.raises(ValueError, match="overflows"):
+        simulate(g, VANILLA, worst_cut_x0(g) * 1e300,
+                 SimConfig(seed=1, max_events=10))
 
 
 def test_replay_states_selects_indices():

@@ -1,0 +1,88 @@
+"""Property tests on small random two-block graphs.
+
+The three rule families are affine-equivariant, and the variance
+detector only sees differences of values, so a start a*x0 + b must cross
+the e^-2 ratio at the same events as x0.  Every run must also conserve the
+sum, and every tick may change only the endpoints of its edge.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from cutgossip.analysis import random_x0, worst_cut_x0  # noqa: E402
+from cutgossip.engine import SimConfig, StateVector, next_event, simulate, step  # noqa: E402
+from cutgossip.graph import random_partitioned  # noqa: E402
+from cutgossip.rules import RuleDescriptor  # noqa: E402
+
+RULES = {
+    "vanilla": RuleDescriptor("vanilla"),
+    "convex": RuleDescriptor("convex", alpha=0.3),
+    "algA": RuleDescriptor("algA", period=3, gamma_mode="balanced"),
+}
+SEEDS = (0, 1, 2)
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
+
+
+@st.composite
+def cases(draw):
+    n1 = draw(st.integers(2, 6))
+    n2 = draw(st.integers(2, 6))
+    k12 = draw(st.integers(1, 3))
+    g = random_partitioned(n1, n2, 0.6, 0.6, k12, draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        x0 = worst_cut_x0(g)
+    else:
+        x0 = random_x0(g.n, np.random.default_rng(draw(st.integers(0, 10**6))))
+    return g, x0, draw(st.sampled_from(sorted(RULES)))
+
+
+def _crossings(g, rule, x0, seed):
+    trace = simulate(g, rule, x0, SimConfig(seed=seed, max_time=40.0,
+                                            sample_every=1 << 62))
+    return trace.first_crossing, trace.last_exceedance
+
+
+@PROPERTY
+@given(cases(), st.floats(-3.0, 3.0), st.floats(-1.0, 1.0))
+def test_affine_start_crosses_at_the_same_event(case, log_a, c):
+    g, x0, name = case
+    a = 10.0**log_a
+    b = c * 1e8 * a  # |b| <= 1e8 sd of a*x0, whose sd is a
+    moved = a * x0 + b
+    for seed in SEEDS:
+        assert _crossings(g, RULES[name], moved, seed) == _crossings(
+            g, RULES[name], x0, seed
+        )
+
+
+@PROPERTY
+@given(cases(), st.floats(-3.0, 3.0), st.floats(-1.0, 1.0))
+def test_conservation(case, log_a, c):
+    g, x0, name = case
+    a = 10.0**log_a
+    x0 = a * x0 + c * 1e8 * a
+    trace = simulate(g, RULES[name], x0, SimConfig(seed=SEEDS[0], max_events=2000,
+                                                   sample_every=1 << 62))
+    drift = abs(math.fsum(trace.final.values.tolist()) - trace.final.initial_sum)
+    assert drift <= 1e-9 * float(np.max(np.abs(x0)))
+
+
+@PROPERTY
+@given(cases())
+def test_locality(case):
+    g, x0, name = case
+    eu, ev, _ = g.flat_edges()
+    rng = np.random.default_rng(SEEDS[0])
+    state = StateVector.from_values(x0)
+    cut_ticks = 0
+    for _ in range(200):
+        _dt, edge = next_event(rng, g.num_edges)
+        new, _case, cut_ticks = step(state, g, RULES[name], edge, cut_ticks)
+        changed = set(np.flatnonzero(new.values != state.values).tolist())
+        assert changed <= {eu[edge], ev[edge]}
+        state = new
