@@ -40,7 +40,6 @@ from .rules import (
 from .walks import (
     TailBoundParams,
     dominance_check,
-    dominating_walk,
     empirical_increments,
     simple_walk_tail,
     t0_bound,

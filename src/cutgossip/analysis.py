@@ -36,7 +36,6 @@ __all__ = [
     "SweepTable",
     "DegenerateInitialStateError",
     "HorizonTooShortError",
-    "PowerIterationError",
     "decompose",
     "worst_cut_x0",
     "random_x0",
@@ -78,10 +77,6 @@ class DegenerateInitialStateError(ValueError):
 class HorizonTooShortError(RuntimeError):
     """Too few runs settled below the threshold early enough to trust the
     estimate (the required fraction is 1 - 1/(2e) before horizon/2)."""
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge within the iteration budget."""
 
 
 def run_seed(master: int, stream: int, index: int) -> int:
@@ -365,48 +360,12 @@ def epoch_operators(trace: SimTrace, graph, rule: RuleDescriptor) -> list[EpochO
     return out
 
 
-def spectral_norm(matrix, tol: float = 1e-10, max_iter: int = 5000) -> float:
-    """Largest singular value by power iteration on the Gram matrix.
-
-    Runs three deterministic seeded starts and keeps the best estimate, so
-    a start vector orthogonal to the top singular direction cannot silently
-    stall; raises :class:`PowerIterationError` when a start fails to
-    converge within ``max_iter``.
-    """
+def spectral_norm(matrix) -> float:
+    """Largest singular value (the operator 2-norm), from the SVD."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.any(a):
-        return 0.0
-    gram = a.T @ a
-    n = a.shape[0]
-    best = 0.0
-    for start in range(3):
-        rng = np.random.default_rng(0xC0FFEE + start)
-        v = rng.normal(size=n)
-        v /= np.linalg.norm(v)
-        lam_prev = math.inf
-        converged = False
-        for _ in range(max_iter):
-            w = gram @ v
-            lam = float(np.linalg.norm(w))
-            if lam == 0.0:
-                converged = True  # v sits in the null space of A
-                lam_prev = 0.0
-                break
-            v = w / lam
-            if abs(lam - lam_prev) <= tol * max(lam, 1e-300):
-                lam_prev = lam
-                converged = True
-                break
-            lam_prev = lam
-        if not converged:
-            raise PowerIterationError(
-                f"no convergence after {max_iter} iterations "
-                f"(last eigenvalue change {abs(lam - lam_prev):.3e})"
-            )
-        best = max(best, math.sqrt(lam_prev))
-    return best
+    return float(np.linalg.norm(a, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -81,11 +81,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{source}: bad value for {key}: {val!r}") from exc
         return out
 
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            for f in fields(self):
-                fh.write(f"{f.name}={getattr(self, f.name)}\n")
-
     def override(self, args: argparse.Namespace) -> "ExperimentConfig":
         for f in fields(self):
             flag = getattr(args, f.name, None)
@@ -309,7 +304,8 @@ def _check_dominance(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
     slack = args.slack if args.slack is not None else 0.1 * math.log(g.n)
     increments: list[float] = []
     run = 0
-    horizon = 25.0 * rule.period
+    # t0 firing epochs: the horizon of the paper's tail bound (25 epochs).
+    horizon = float(walks.t0_bound(walks.TailBoundParams()) * rule.period)
     while len(increments) < args.min_increments and run < 200:
         sim_cfg = engine.SimConfig(
             seed=analysis.run_seed(cfg.seed, analysis.STREAM_DOMINANCE, run),
@@ -320,6 +316,12 @@ def _check_dominance(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
         if len(trace.epoch_marks) >= 2:
             increments.extend(walks.empirical_increments(trace).tolist())
         run += 1
+    if len(increments) < walks.MIN_INCREMENTS:
+        raise ConfigError(
+            f"{run} dominance runs collected {len(increments)} epoch increments, "
+            f"fewer than {walks.MIN_INCREMENTS}: the runs reach exact consensus "
+            "before enough firing epochs"
+        )
     report = walks.dominance_check(increments, g.n, slack=slack)
     out = report.to_dict()
     out.update({"check": "dominance", "rule": rule.to_text(), "runs_used": run})

@@ -18,12 +18,9 @@ import numpy as np
 from .engine import SimTrace
 
 __all__ = [
-    "WalkPath",
     "TailBoundParams",
     "TailCheck",
     "DominanceReport",
-    "dominating_walk",
-    "increment_moments",
     "dominating_increment_quantile",
     "empirical_increments",
     "dominance_check",
@@ -31,44 +28,8 @@ __all__ = [
     "t0_bound",
 ]
 
-EXACT_TAIL_LIMIT = 40
 # Fewest epoch increments a dominance check accepts.
 MIN_INCREMENTS = 100
-
-
-@dataclass(frozen=True)
-class WalkPath:
-    """Increment sequence with prefix-sum positions; positions[0] = 0."""
-
-    increments: np.ndarray
-    positions: np.ndarray
-
-
-def dominating_walk(k: int, n: int, rng) -> WalkPath:
-    """Sample k steps of the dominating walk for graph size n.
-
-    ``rng`` is a numpy Generator or an integer seed.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if k < 0:
-        raise ValueError("step count must be nonnegative")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    up = math.log(n)
-    down = -1.5 * math.log(n)
-    incr = np.where(rng.integers(0, 2, size=k) == 1, up, down)
-    return WalkPath(incr, np.concatenate([[0.0], np.cumsum(incr)]))
-
-
-def increment_moments(n: int) -> tuple[float, float]:
-    """Mean and variance of a single dominating-walk increment.
-
-    Derived from the two-point law: mean -(log n)/4 and variance
-    ((5/4) log n)^2.
-    """
-    logn = math.log(n)
-    return -0.25 * logn, (1.25 * logn) ** 2
 
 
 def dominating_increment_quantile(q: float, n: int) -> float:
@@ -193,21 +154,14 @@ class TailCheck:
     probability: float
     bound: float
     exact: bool
-    stderr: float | None = None
 
 
 def simple_walk_tail(
-    n: int,
-    s: float,
-    params: TailBoundParams = TailBoundParams(),
-    *,
-    seed: int = 0,
-    mc_samples: int = 200_000,
+    n: int, s: float, params: TailBoundParams = TailBoundParams()
 ) -> TailCheck:
     """P[S_n >= s*sqrt(n)] for the simple +-1 walk, with the bound value.
 
-    Exact by binomial summation for n <= 40; larger n falls back to Monte
-    Carlo with a reported standard error.
+    Exact for every n by integer binomial summation.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -215,28 +169,21 @@ def simple_walk_tail(
         raise ValueError("need s > 0")
     x = s * math.sqrt(n)
     bound = params.c_const * math.exp(-params.beta_const * s * s)
-    if n <= EXACT_TAIL_LIMIT:
-        # S_n = 2k - n over k up-steps; exact integer arithmetic.
-        k_min = math.ceil((n + x) / 2.0)
-        hits = sum(math.comb(n, k) for k in range(max(k_min, 0), n + 1))
-        return TailCheck(hits / 2**n, bound, exact=True)
-    rng = np.random.default_rng(seed)
-    ks = rng.binomial(n, 0.5, size=mc_samples)
-    p = float(np.mean(2 * ks - n >= x))
-    stderr = math.sqrt(max(p * (1.0 - p), 1.0 / mc_samples) / mc_samples)
-    return TailCheck(p, bound, exact=False, stderr=stderr)
+    # S_n = 2k - n over k up-steps; exact integer arithmetic.
+    k_min = math.ceil((n + x) / 2.0)
+    hits = sum(math.comb(n, k) for k in range(max(k_min, 0), n + 1))
+    return TailCheck(hits / 2**n, bound, exact=True)
 
 
-def t0_bound(params: TailBoundParams, target: float = 1.0 - 1.0 / math.e) -> int:
+def t0_bound(params: TailBoundParams) -> int:
     """Smallest integer t0 whose geometric tail sum of c*exp(-beta*T/4)
-    over T > t0 leaves at least ``target`` probability.
+    over T > t0 is below 1/e.
 
     The tail sum has the closed form c*exp(-beta*(t0+1)/4)/(1-exp(-beta/4));
     the result depends only on the bound constants, not on any graph size.
+    With the Hoeffding defaults it is 25, the horizon in firing epochs.
     """
-    if not (0.0 < target < 1.0):
-        raise ValueError("target must be in (0, 1)")
-    budget = 1.0 - target
+    budget = 1.0 / math.e
     q = math.exp(-params.beta_const / 4.0)
     t0 = 0
     while params.c_const * q ** (t0 + 1) / (1.0 - q) >= budget:

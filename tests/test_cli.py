@@ -88,6 +88,7 @@ def test_malformed_rule_exits_2(capsys):
     ["simulate", "--graph", "barbell:2,2", "--max-events", "-1"],
     ["check", "dominance", "--graph", "barbell:4,4", "--rule", "algA:P=3",
      "--min-increments", "10"],
+    ["check", "dominance", "--graph", "barbell:1,1", "--rule", "algA:P=3"],
 ])
 def test_rejected_values_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -95,6 +96,8 @@ def test_rejected_values_exit_2(capsys, argv):
     assert err.startswith("error: ")
     if "--min-increments" in argv:  # rejected before any simulation
         assert "--min-increments" in err
+    if "barbell:1,1" in argv:  # every run is at consensus after one firing
+        assert "consensus" in err
 
 
 def test_estimate_two_vertex(tmp_path, capsys):
@@ -174,12 +177,15 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
 def test_config_roundtrip(tmp_path):
     cfg = ExperimentConfig(graph="barbell:4,4", runs=77, horizon=12.5, seed=3)
     path = tmp_path / "a.cfg"
-    cfg.to_file(path)
-    loaded = ExperimentConfig.from_file(path)
-    assert loaded == cfg
-    path2 = tmp_path / "b.cfg"
-    loaded.to_file(path2)
-    assert path.read_text() == path2.read_text()
+    path.write_text(
+        "# experiment\n"
+        "graph = barbell:4,4\n"
+        "\n"
+        "runs=77  # per point\n"
+        "horizon=12.5\n"
+        "seed=3\n"
+    )
+    assert ExperimentConfig.from_file(path) == cfg
 
 
 def test_check_tail(capsys):
