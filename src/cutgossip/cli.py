@@ -21,6 +21,9 @@ from .rules import RuleDescriptor, parse_rule
 
 __all__ = ["main", "ExperimentConfig", "parse_graph_spec"]
 
+# Run budget of ``check dominance``, whatever --min-increments asks for.
+DOMINANCE_MAX_RUNS = 200
+
 
 class ConfigError(ValueError):
     """Bad configuration value or file; maps to exit code 2."""
@@ -306,7 +309,7 @@ def _check_dominance(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
     run = 0
     # t0 firing epochs: the horizon of the paper's tail bound (25 epochs).
     horizon = float(walks.t0_bound(walks.TailBoundParams()) * rule.period)
-    while len(increments) < args.min_increments and run < 200:
+    while len(increments) < args.min_increments and run < DOMINANCE_MAX_RUNS:
         sim_cfg = engine.SimConfig(
             seed=analysis.run_seed(cfg.seed, analysis.STREAM_DOMINANCE, run),
             max_time=horizon,
@@ -321,6 +324,12 @@ def _check_dominance(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
             f"{run} dominance runs collected {len(increments)} epoch increments, "
             f"fewer than {walks.MIN_INCREMENTS}: the runs reach exact consensus "
             "before enough firing epochs"
+        )
+    if len(increments) < args.min_increments:
+        print(
+            f"warning: collected {len(increments)} of the {args.min_increments} "
+            f"epoch increments requested; stopped at the {DOMINANCE_MAX_RUNS}-run cap",
+            file=sys.stderr,
         )
     report = walks.dominance_check(increments, g.n, slack=slack)
     out = report.to_dict()
@@ -465,7 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slack", type=float,
                    help="dominance quantile slack (default 0.1*log n)")
     p.add_argument("--min-increments", type=int, default=120,
-                   help="epoch increments to collect (default 120)")
+                   help="epoch increments to collect (default 120); the check "
+                   f"stops at {DOMINANCE_MAX_RUNS} runs and warns on stderr if "
+                   "it has fewer")
     p.add_argument("--events", type=int, default=200_000,
                    help="events for the invariant battery (default 200000)")
     p.set_defaults(fn=cmd_check)

@@ -36,6 +36,7 @@ __all__ = [
 
 RNG_ID = "numpy-PCG64/chunk4096"
 _CHUNK = 4096
+_FIRST_BLOCK = 64
 
 # The averaging time uses epsilon = 1/e: a run has settled once
 # var X(t) / var X(0) <= epsilon^2 = e^-2.
@@ -158,12 +159,13 @@ def _side_metrics(arr: np.ndarray, n1: int) -> tuple[float, float, float, float]
     The input is centered about its own mean, so the exact identity
     var = sigma^2 + (n1*mu1^2 + n2*mu2^2)/n holds up to rounding.
     """
+    # sum / size is ndarray.mean()'s own arithmetic, without its overhead
     n = arr.size
-    centered = arr - arr.mean()
+    centered = arr - arr.sum() / n
     b1 = centered[:n1]
     b2 = centered[n1:]
-    mu1 = float(b1.mean()) if b1.size else 0.0
-    mu2 = float(b2.mean()) if b2.size else 0.0
+    mu1 = float(b1.sum()) / b1.size if b1.size else 0.0
+    mu2 = float(b2.sum()) / b2.size if b2.size else 0.0
     var = float(centered @ centered) / n
     d1 = b1 - mu1
     d2 = b2 - mu2
@@ -231,8 +233,15 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     ``graph`` is a :class:`PartitionedGraph` or, for vanilla/convex rules
     only, a :class:`SideGraph`.  Reproducible: equal (graph, rule, x0,
     seed) produce bit-identical traces.
+
+    Each drawn chunk is cut into blocks of 64, 128, ... up to 4096 events,
+    so a short run converts little of it to Python objects.  Per block,
+    numpy gives the event times, the caps, endpoints, cases, firings,
+    sample points and tick counters; a Python loop applies the pair
+    updates in order; then the variance detector runs over the block.
     """
-    n, n1, eu, ev, kind = graph.view
+    n, n1, _, _, _ = graph.view
+    eu, ev, tick_class = graph.arrays
     x = [float(v) for v in np.asarray(x0, dtype=float)]
     if len(x) != n:
         raise ValueError(f"x0 has length {len(x)}, graph has {n} vertices")
@@ -243,6 +252,7 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
         raise ValueError("graph has no edges")
     intra, cross, period, phase, alpha, gamma = compile_rule(graph, rule)
     beta = 1.0 - alpha
+    class_case = np.array([intra, intra, cross, cross], dtype=np.int8)
 
     rng = np.random.default_rng(np.random.PCG64(config.seed))
     inv_m = 1.0 / m
@@ -253,8 +263,8 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     # settles at the same event.  Over 1e6 events the running S drifts by
     # ~1e-12 S0 (~1e-7 S0 at an offset of 1e8 sd), far below the threshold
     # it is compared with; recorded samples recompute metrics exactly.
-    k_convex = 2.0 * alpha * beta
-    k_fire = 2.0 * gamma * (1.0 - gamma)
+    # coef holds 2c(1-c) per case code (NOOP, VANILLA, CONVEX, NONCONVEX).
+    coef = np.array([0.0, 0.5, 2.0 * alpha * beta, 2.0 * gamma * (1.0 - gamma)])
     detect = ss > 0.0
     ss_thr = RATIO_THRESHOLD * ss
     exceeding = detect  # ratio at t=0 is 1, above the threshold
@@ -268,19 +278,20 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     s_sigma: list[float] = []
     s_nu: list[int] = []
     s_k: list[int] = []
-    s_states: list[np.ndarray] | None = [] if config.record_states else None
-    marks: list[float] = []
-    mark_sidx: list[int] = []
-    mark_eidx: list[int] = []
-    log_t: list[float] | None = [] if config.record_events else None
-    log_e: list[int] = []
-    log_c: list[int] = []
+    s_states: list[np.ndarray] = []
+    columns = (s_times, s_var, s_mu1, s_mu2, s_sigma, s_nu, s_k, s_states)
+    marks: list[np.ndarray] = []
+    mark_sidx: list[np.ndarray] = []
+    mark_eidx: list[np.ndarray] = []
+    log_t: list[np.ndarray] = []
+    log_e: list[np.ndarray] = []
+    log_c: list[np.ndarray] = []
 
-    ticks_e1 = ticks_e2 = nu12 = k_cut = 0
+    ticks = [0, 0, 0, 0]  # per tick class: block one, block two, cross, cut
     events = 0
     t = 0.0
 
-    def take_sample() -> None:
+    def take_sample(t: float, nu12: int, k_cut: int) -> None:
         arr = np.array(x)
         mu1, mu2, sg, vr = _side_metrics(arr, n1)
         s_times.append(t)
@@ -290,96 +301,161 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
         s_sigma.append(sg)
         s_nu.append(nu12)
         s_k.append(k_cut)
-        if s_states is not None:
+        if config.record_states:
             s_states.append(arr)
 
-    take_sample()
+    take_sample(t, 0, 0)
+
+    VANILLA = int(RuleCase.VANILLA)
+    CONVEX = int(RuleCase.CONVEX)
+
+    def apply_events(U, V, C, end, pts, p_t, p_nu, p_k) -> list[float]:
+        """Per event, in Python: the first ``end`` pair updates of a block,
+        in order, with a sample (time ``p_t``, counters ``p_nu``, ``p_k``)
+        just after each event listed in ``pts``, whose last entry is a
+        sentinel past the block; returns each event's d = x_v - x_u before
+        its update."""
+        ds: list[float] = []
+        push = ds.append
+        i = ip = 0
+        while i < end:
+            j = min(pts[ip] + 1, end)  # through the next sample point
+            # inlined rules.pair_update (test_replay_reproduces_final_state_bitwise)
+            for u, v, c in zip(U[i:j], V[i:j], C[i:j]):
+                xu = x[u]
+                xv = x[v]
+                d = xv - xu
+                if c == VANILLA:
+                    h = 0.5 * (xu + xv)
+                    x[u] = h
+                    x[v] = h
+                elif c == CONVEX:
+                    x[u] = alpha * xu + beta * xv
+                    x[v] = alpha * xv + beta * xu
+                elif c:
+                    tr = gamma * d
+                    x[u] = xu + tr
+                    x[v] = xv - tr
+                push(d)
+            if pts[ip] < j:
+                take_sample(p_t[ip], p_nu[ip], p_k[ip])
+                ip += 1
+            i = j
+        return ds
 
     max_time = config.max_time
     max_events = config.max_events
     sample_every = config.sample_every
-    recording = log_t is not None
-    VANILLA = int(RuleCase.VANILLA)
-    CONVEX = int(RuleCase.CONVEX)
     NONCONVEX = int(RuleCase.NONCONVEX)
+    size = _FIRST_BLOCK
     stop = max_events == 0 or max_time == 0.0
     while not stop:
-        dts = rng.exponential(inv_m, _CHUNK).tolist()
-        eis = rng.integers(0, m, _CHUNK).tolist()
-        for i in range(_CHUNK):
-            nt = t + dts[i]
-            if max_time is not None and nt > max_time:
-                t = max_time
+        dts = rng.exponential(inv_m, _CHUNK)
+        eis = rng.integers(0, m, _CHUNK)
+        lo = 0
+        while lo < _CHUNK and not stop:
+            hi = min(lo + size, _CHUNK)
+            size = min(2 * size, _CHUNK)
+            # per block, in numpy: times, caps, cases, firings, sample points
+            times = dts[lo:hi]
+            times[0] += t
+            np.add.accumulate(times, out=times)  # the same left fold as t += dt
+            e = eis[lo:hi]
+            lo = hi
+            end = len(e)
+            timed_out = False
+            if max_events is not None and max_events - events <= end:
+                end = max_events - events
                 stop = True
-                break
-            t = nt
-            e = eis[i]
-            u = eu[e]
-            v = ev[e]
-            ek = kind[e]
-            # tick counters, and the case the compiled rule gives this tick
-            if ek == KIND_INTRA:
-                if u < n1:
-                    ticks_e1 += 1
-                else:
-                    ticks_e2 += 1
-                case = intra
+            if max_time is not None:
+                n_in = int(times[:end].searchsorted(max_time, side="right"))
+                if n_in < end:
+                    end, timed_out, stop = n_in, True, True
+            e = e[:end]
+            cls = tick_class[e]
+            cases = class_case[cls]
+            cut_at = (cls == 3).nonzero()[0]
+            # the k-th cut tick of the run (k from 1) fires when k % period == phase
+            if phase >= 0:
+                fired = cut_at[(phase - ticks[3] - 1) % period :: period]
+                cases[fired] = NONCONVEX
             else:
-                nu12 += 1
-                case = cross
-                if ek == KIND_CUT:
-                    k_cut += 1
-                    if k_cut % period == phase:
-                        case = NONCONVEX
-            # inlined rules.pair_update (test_replay_reproduces_final_state_bitwise)
-            xu = x[u]
-            xv = x[v]
-            d = xv - xu
-            if case == VANILLA:
-                h = 0.5 * (xu + xv)
-                x[u] = h
-                x[v] = h
-                ss -= 0.5 * d * d
-            elif case == CONVEX:
-                x[u] = alpha * xu + beta * xv
-                x[v] = alpha * xv + beta * xu
-                ss -= k_convex * d * d
-            elif case:
-                tr = gamma * d
-                x[u] = xu + tr
-                x[v] = xv - tr
-                ss -= k_fire * d * d
-            events += 1
-            if recording:
-                log_t.append(t)
-                log_e.append(e)
-                log_c.append(case)
-            fired = case == NONCONVEX
-            if fired or events % sample_every == 0:
-                take_sample()
-                if fired:
-                    marks.append(t)
-                    mark_sidx.append(len(s_times) - 1)
-                    if recording:
-                        mark_eidx.append(events - 1)
-            if detect:
-                if exceeding:
-                    last_end = t
-                    if ss <= ss_thr:
-                        exceeding = False
-                        if first_crossing is None:
-                            first_crossing = t
-                            if config.stop_at_crossing:
-                                stop = True
-                                break
-                elif ss > ss_thr:
-                    exceeding = True
-            if max_events is not None and events >= max_events:
-                stop = True
-                break
+                fired = cut_at[:0]
+            # samples: every firing, and every sample_every-th event of the run
+            points = np.arange((-events - 1) % sample_every, end, sample_every)
+            if fired.size:
+                sampled = np.zeros(end, dtype=bool)
+                sampled[points] = True
+                sampled[fired] = True
+                points = sampled.nonzero()[0]
+            # t, nu12 and k_cut at each sample point
+            p_t = times[points].tolist()
+            p_nu = ((cls >= 2).nonzero()[0].searchsorted(points, side="right")
+                    + (ticks[2] + ticks[3])).tolist()
+            p_k = (cut_at.searchsorted(points, side="right") + ticks[3]).tolist()
+            pts = points.tolist()
+            pts.append(end)  # sentinel
+            U = eu[e].tolist()
+            V = ev[e].tolist()
+            C = cases.tolist()
+            n_rows = len(s_times)
+            # a run that stops at its first crossing may pass it within the
+            # block; it then replays the block from here up to the crossing
+            snapshot = (x.copy() if detect and first_crossing is None
+                        and config.stop_at_crossing else None)
+            ds = apply_events(U, V, C, end, pts, p_t, p_nu, p_k)
+            if detect and end:
+                # per block, in numpy: the variance detector.  S after each
+                # event, as the running ss -= 2c(1-c)*d*d gives it
+                s_run = np.fromiter(ds, np.float64, end)
+                s_run *= coef[cases[:end]] * s_run
+                s_run[0] = ss - s_run[0]
+                np.subtract.accumulate(s_run, out=s_run)
+                if first_crossing is None:
+                    below = s_run <= ss_thr
+                    if below.any():
+                        j = int(below.argmax())
+                        first_crossing = float(times[j])
+                        if snapshot is not None:
+                            stop, timed_out = True, False
+                            if j + 1 < end:
+                                end = j + 1
+                                s_run = s_run[:end]
+                                x[:] = snapshot
+                                for col in columns:
+                                    del col[n_rows:]
+                                apply_events(U, V, C, end, pts, p_t, p_nu, p_k)
+                # after each event the run exceeds iff S > threshold; the last
+                # exceedance ends at the last event entered while exceeding
+                ex = s_run > ss_thr
+                if not ex[-1]:
+                    if ex.any():
+                        last_end = float(times[end - ex[::-1].argmax()])
+                    elif exceeding:
+                        last_end = float(times[0])
+                exceeding = bool(ex[-1])
+                ss = float(s_run[-1])
+            # counters, epoch marks and the event log
+            counts = np.bincount(cls[:end], minlength=4).tolist()
+            ticks = [a + b for a, b in zip(ticks, counts)]
+            f = fired[: fired.searchsorted(end)]
+            if f.size:
+                marks.append(times[f])
+                mark_sidx.append(points.searchsorted(f) + n_rows)
+                mark_eidx.append(f + events)
+            if config.record_events:
+                # copies: views would keep every chunk's draws alive
+                log_t.append(times[:end].copy())
+                log_e.append(e[:end].copy())
+                log_c.append(cases[:end])
+            events += end
+            if end:
+                t = float(times[end - 1])
+            if timed_out:
+                t = max_time
 
     if s_times[-1] != t:
-        take_sample()
+        take_sample(t, ticks[2] + ticks[3], ticks[3])
 
     final = StateVector(np.array(x), t, initial_sum)
     # without a detector first_crossing stays None and the ratio is undefined
@@ -403,28 +479,32 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
         sigma=np.array(s_sigma),
         nu12=np.array(s_nu, dtype=np.int64),
         k_cut=np.array(s_k, dtype=np.int64),
-        epoch_marks=np.array(marks),
-        epoch_sample_idx=np.array(mark_sidx, dtype=np.int64),
-        epoch_event_idx=np.array(mark_eidx, dtype=np.int64) if recording else None,
+        epoch_marks=_joined(marks, np.float64),
+        epoch_sample_idx=_joined(mark_sidx, np.int64),
+        epoch_event_idx=_joined(mark_eidx, np.int64) if config.record_events else None,
         tick_totals={
-            "e1": ticks_e1,
-            "e2": ticks_e2,
-            "e12": nu12,
-            "cut": k_cut,
+            "e1": ticks[0],
+            "e2": ticks[1],
+            "e12": ticks[2] + ticks[3],
+            "cut": ticks[3],
             "total": events,
         },
         event_log=EventLog(
-            np.array(log_t), np.array(log_e, dtype=np.int64),
-            np.array(log_c, dtype=np.int8),
+            _joined(log_t, np.float64), _joined(log_e, np.int64),
+            _joined(log_c, np.int8),
         )
-        if recording
+        if config.record_events
         else None,
-        states=np.array(s_states) if s_states is not None else None,
+        states=np.array(s_states) if config.record_states else None,
         final=final,
         first_crossing=first_crossing,
         last_exceedance=last_exc,
         meta=meta,
     )
+
+
+def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate([np.empty(0, dtype), *parts])
 
 
 def replay(graph, rule: RuleDescriptor, x0, event_log: EventLog) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "FlatView",
+    "EdgeArrays",
     "PartitionedGraph",
     "SideGraph",
     "GraphValidationError",
@@ -74,6 +75,25 @@ def _flat_view(n: int, n1: int, edges, kind: list[int]) -> FlatView:
     return FlatView(n, n1, [u - 1 for u, _ in edges], [v - 1 for _, v in edges], kind)
 
 
+class EdgeArrays(NamedTuple):
+    """The flat view's edges as numpy arrays, for the engine's per-block
+    lookups.  ``tick_class`` sorts each edge into the engine's tick
+    counters: 0 block one, 1 block two, 2 cross, 3 the designated cut."""
+
+    eu: np.ndarray
+    ev: np.ndarray
+    tick_class: np.ndarray
+
+
+def _edge_arrays(view: FlatView) -> EdgeArrays:
+    # intra edges split by block; KIND_CROSS -> 2, KIND_CUT -> 3
+    tick_class = [
+        int(u >= view.n1) if k == KIND_INTRA else k + 1
+        for u, k in zip(view.eu, view.kind)
+    ]
+    return EdgeArrays(*(np.array(a, dtype=np.intp) for a in (view.eu, view.ev, tick_class)))
+
+
 @dataclass(frozen=True)
 class PartitionedGraph:
     """Two internally connected blocks joined by cross edges, one designated.
@@ -112,6 +132,11 @@ class PartitionedGraph:
         kind[len(intra) + self.cut_index] = KIND_CUT
         return _flat_view(self.n, self.n1, intra + self.edges_e12, kind)
 
+    @cached_property
+    def arrays(self) -> EdgeArrays:
+        """The flat view as numpy arrays."""
+        return _edge_arrays(self.view)
+
     def flat_edges(self) -> tuple[list[int], list[int], list[int]]:
         """Return (heads, tails, kinds) as 0-based parallel lists."""
         _, _, eu, ev, kind = self.view
@@ -119,6 +144,10 @@ class PartitionedGraph:
 
     def digest(self) -> str:
         """Short content hash of the canonical serialization."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
         return hashlib.sha256(to_text(self).encode()).hexdigest()[:12]
 
 
@@ -133,6 +162,11 @@ class SideGraph:
     def view(self) -> FlatView:
         """The engine's flat view: one block, every edge intra."""
         return _flat_view(self.n, self.n, self.edges, [KIND_INTRA] * len(self.edges))
+
+    @cached_property
+    def arrays(self) -> EdgeArrays:
+        """The flat view as numpy arrays."""
+        return _edge_arrays(self.view)
 
     def digest(self) -> str:
         """Short label recorded in trace metadata."""

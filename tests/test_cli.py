@@ -222,6 +222,20 @@ def test_check_dominance(capsys):
     assert report["count"] >= 100
 
 
+def test_check_dominance_warns_at_the_run_cap(capsys):
+    code, stdout, err = run_cli(
+        capsys, "check", "dominance", "--graph", "barbell:4,4",
+        "--rule", "algA:P=3", "--min-increments", "100000",
+    )
+    report = json.loads(stdout)
+    assert code == (0 if report["passed"] else 1)
+    assert report["runs_used"] == 200 and report["count"] < 100000
+    assert err == (
+        f"warning: collected {report['count']} of the 100000 epoch increments "
+        "requested; stopped at the 200-run cap\n"
+    )
+
+
 def test_check_dominance_rejects_convex_rule(capsys):
     code, _, err = run_cli(capsys, "check", "dominance", "--rule", "vanilla")
     assert code == 2

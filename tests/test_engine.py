@@ -1,10 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from cutgossip.analysis import worst_cut_x0
+from cutgossip.analysis import bisection_x0, worst_cut_x0
 from cutgossip.engine import (
     RNG_ID,
     SimConfig,
@@ -309,6 +310,21 @@ def test_variance_ratio_target_stop():
     assert full.n_events > trace.n_events
 
 
+def test_crossing_on_a_block_edge_stops_there():
+    # this run first crosses at its 64th event, the last of the first block
+    side = side_subgraph(build_barbell(32, 32), 1)
+    x0 = bisection_x0(32)
+    full = simulate(side, VANILLA, x0,
+                    SimConfig(seed=10, max_events=200, record_events=True))
+    assert full.event_log.times[63] == full.first_crossing
+    trace = simulate(side, VANILLA, x0,
+                     SimConfig(seed=10, max_time=256.0, stop_at_crossing=True))
+    assert trace.n_events == 64
+    assert trace.final.time == full.first_crossing
+    assert np.array_equal(trace.final.values,
+                          replay_states(side, VANILLA, x0, full.event_log, [63])[0])
+
+
 def test_horizon_stop_sets_final_time():
     g = build_barbell(2, 2)
     trace = simulate(g, VANILLA, worst_cut_x0(g), SimConfig(seed=4, max_time=2.5))
@@ -405,3 +421,110 @@ def test_trace_csv_format(tmp_path):
     assert lines[1] == "t,var,mu1,mu2,sigma,nu_t,k"
     assert len(lines) == trace.n_samples + 2
     assert float(lines[2].split(",")[1]) == trace.var[0]
+
+
+# ---------------------------------------------------------------------------
+# Golden values, recorded with the per-event loop before it was cut into
+# numpy-precomputed blocks (64, 128, ..., 4096 events).  The caps straddle
+# every block and chunk edge, so any change in how events, samples, firings
+# or the detector are taken across an edge shows here.
+# ---------------------------------------------------------------------------
+
+GOLDEN_CAPS = [(k, None) for k in (1, 63, 64, 65, 4095, 4096, 4097, 8193)] + [
+    (None, 3.0), (None, 60.0), (100_000, 20.0), (10, 0.0),
+]
+GOLDEN_RULES = {
+    "vanilla": VANILLA,
+    "convex": RuleDescriptor("convex", alpha=0.3),
+    "algA": RuleDescriptor("algA", period=3, gamma_mode="balanced"),
+}
+GOLDEN_GRAPHS = {
+    "barbell8,8": lambda: build_barbell(8, 8),
+    "barbell3,5": lambda: build_barbell(3, 5),
+    "side2of5,7": lambda: side_subgraph(build_barbell(5, 7), 2),
+}
+
+
+def _golden_digest(graph, rule, x0):
+    """sha256 over every run of the grid: final state, samples, recorded
+    states, epoch marks, event log, crossings and tick totals."""
+    h = hashlib.sha256()
+    for max_events, max_time in GOLDEN_CAPS:
+        for every in (1, 7, 1 << 62):
+            for stop in (False, True):
+                tr = simulate(graph, rule, x0, SimConfig(
+                    seed=11, max_events=max_events, max_time=max_time,
+                    stop_at_crossing=stop, sample_every=every,
+                    record_events=True, record_states=True,
+                ))
+                for arr in (tr.final.values, tr.times, tr.var, tr.mu1, tr.mu2,
+                            tr.sigma, tr.nu12, tr.k_cut, tr.states,
+                            tr.epoch_marks, tr.epoch_sample_idx,
+                            tr.epoch_event_idx, tr.event_log.times,
+                            tr.event_log.edges, tr.event_log.cases):
+                    h.update(np.ascontiguousarray(arr).tobytes())
+                    h.update(b"|")
+                h.update(repr((tr.final.time, tr.first_crossing,
+                               tr.last_exceedance,
+                               sorted(tr.tick_totals.items()))).encode())
+    return h.hexdigest()
+
+
+GOLDEN = {
+    # (graph, rule): (sha256 of the grid, (first_crossing, last_exceedance,
+    # tick_totals) of the 8193-event run sampled every event)
+    ('barbell8,8', 'vanilla'): (
+        'afa385d90a667b47804587b6a9afddba267fdb751a080fffd7eb042235e0637e',
+        (0.47070958142097785, 0.47070958142097785,
+         {'e1': 4010, 'e2': 4030, 'e12': 153, 'cut': 153, 'total': 8193}),
+    ),
+    ('barbell8,8', 'convex'): (
+        'f667002a392eb9403890e4bbd7e1f2a6b2a9b5b767d8bf64db03e3c8668e095f',
+        (0.47070958142097785, 0.47070958142097785,
+         {'e1': 4010, 'e2': 4030, 'e12': 153, 'cut': 153, 'total': 8193}),
+    ),
+    ('barbell8,8', 'algA'): (
+        'e96c2b779517a7694d1ce50f98b3822425b0f456eba8169a21fb6fc1b465959a',
+        (0.47070958142097785, 1.1022363909255808,
+         {'e1': 4010, 'e2': 4030, 'e12': 153, 'cut': 153, 'total': 8193}),
+    ),
+    ('barbell3,5', 'vanilla'): (
+        '769ddb5d83e59a05e85becbbe459eb14e42dd3f563bc3d2d68654ea997b170f1',
+        (3.385842576960185, 3.385842576960185,
+         {'e1': 1758, 'e2': 5825, 'e12': 610, 'cut': 610, 'total': 8193}),
+    ),
+    ('barbell3,5', 'convex'): (
+        'e455249b22e4db26fdffa6e8455cf03c461d32276df9bbb8b984cec83de416a3',
+        (3.385842576960185, 3.385842576960185,
+         {'e1': 1758, 'e2': 5825, 'e12': 610, 'cut': 610, 'total': 8193}),
+    ),
+    ('barbell3,5', 'algA'): (
+        '29a6310e8d69986d5ec666cc45bbb7b24d3c98403081906746b98544f859cfa3',
+        (3.344044526525224, 3.344044526525224,
+         {'e1': 1758, 'e2': 5825, 'e12': 610, 'cut': 610, 'total': 8193}),
+    ),
+    ('side2of5,7', 'vanilla'): (
+        '5173ed43280e362d88aae5d6581c4db336cf5ebf0d708a9c125626ccac093231',
+        (0.3045513210852976, 0.3045513210852976,
+         {'e1': 8193, 'e2': 0, 'e12': 0, 'cut': 0, 'total': 8193}),
+    ),
+    ('side2of5,7', 'convex'): (
+        '3df933c35e94ca9d6cb96b03453588aa67e6459c4476591ab3f0bd2bb28623fc',
+        (0.2816646113841607, 0.2816646113841607,
+         {'e1': 8193, 'e2': 0, 'e12': 0, 'cut': 0, 'total': 8193}),
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_simulate_golden_across_blocks(key):
+    gname, rname = key
+    g = GOLDEN_GRAPHS[gname]()
+    x0 = np.random.default_rng(5).normal(size=g.n)
+    rule = GOLDEN_RULES[rname]
+    digest, (first, last, ticks) = GOLDEN[key]
+    tr = simulate(g, rule, x0, SimConfig(seed=11, max_events=8193,
+                                         record_events=True))
+    assert (tr.first_crossing, tr.last_exceedance, tr.tick_totals) == (
+        first, last, ticks)
+    assert _golden_digest(g, rule, x0) == digest

@@ -1,6 +1,9 @@
+import hashlib
 import math
 
 import pytest
+
+import cutgossip.graph as graph_mod
 
 from cutgossip.graph import (
     KIND_INTRA,
@@ -239,3 +242,17 @@ def test_digest_stable_and_distinct():
     g = build_barbell(4, 4)
     assert g.digest() == build_barbell(4, 4).digest()
     assert g.digest() != build_barbell(4, 5).digest()
+
+
+def test_digest_serializes_once(monkeypatch):
+    g = build_barbell(6, 9)
+    calls = []
+
+    def counting_to_text(graph):
+        calls.append(graph)
+        return to_text(graph)
+
+    monkeypatch.setattr(graph_mod, "to_text", counting_to_text)
+    want = hashlib.sha256(to_text(g).encode()).hexdigest()[:12]
+    assert [g.digest() for _ in range(3)] == [want] * 3
+    assert len(calls) == 1

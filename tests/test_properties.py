@@ -15,7 +15,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cutgossip.analysis import random_x0, worst_cut_x0  # noqa: E402
-from cutgossip.engine import SimConfig, StateVector, next_event, simulate, step  # noqa: E402
+from cutgossip.engine import (  # noqa: E402
+    SimConfig, StateVector, next_event, replay_states, simulate, step,
+)
 from cutgossip.graph import random_partitioned  # noqa: E402
 from cutgossip.rules import RuleDescriptor  # noqa: E402
 
@@ -86,3 +88,47 @@ def test_locality(case):
         changed = set(np.flatnonzero(new.values != state.values).tolist())
         assert changed <= {eu[edge], ev[edge]}
         state = new
+
+
+# Longer than two 4096-event chunks, so caps and crossings fall on every
+# kind of block and chunk edge.
+LONG = 8300
+
+
+@PROPERTY
+@given(cases(), st.integers(1, LONG), st.integers(0, 2**32))
+def test_capped_run_is_a_prefix_of_a_longer_run(case, k, seed):
+    g, x0, name = case
+    rule = RULES[name]
+    long = simulate(g, rule, x0, SimConfig(seed=seed, max_events=LONG,
+                                           sample_every=1 << 62,
+                                           record_events=True))
+    short = simulate(g, rule, x0, SimConfig(seed=seed, max_events=k,
+                                            sample_every=1 << 62))
+    assert short.n_events == k
+    assert short.final.time == long.event_log.times[k - 1]
+    want = replay_states(g, rule, x0, long.event_log, [k - 1])[0]
+    assert np.array_equal(short.final.values, want)
+
+
+@PROPERTY
+@given(cases(), st.integers(0, 2**32))
+def test_crossing_stop_ends_at_the_first_crossing(case, seed):
+    g, x0, name = case
+    rule = RULES[name]
+    long = simulate(g, rule, x0, SimConfig(seed=seed, max_events=LONG,
+                                           sample_every=1 << 62,
+                                           record_events=True))
+    stopped = simulate(g, rule, x0, SimConfig(seed=seed, max_events=LONG,
+                                              sample_every=1 << 62,
+                                              stop_at_crossing=True))
+    assert stopped.first_crossing == long.first_crossing
+    if long.first_crossing is None:
+        assert stopped.n_events == LONG
+        assert np.array_equal(stopped.final.values, long.final.values)
+        return
+    k = int(np.searchsorted(long.event_log.times, long.first_crossing))
+    assert stopped.n_events == k + 1
+    assert stopped.final.time == stopped.last_exceedance == long.first_crossing
+    want = replay_states(g, rule, x0, long.event_log, [k])[0]
+    assert np.array_equal(stopped.final.values, want)
