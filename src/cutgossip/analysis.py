@@ -54,6 +54,8 @@ __all__ = [
 
 # Fraction of runs allowed to exceed the threshold after the estimate.
 CONFIDENCE = 1.0 / math.e
+# Random starts whose largest estimate the "random" x0 policy reports.
+N_INITIAL_STATES = 3
 
 # Seed expansion: run r of stream s under master seed m uses
 # m + 1_000_003*s + r; sweep point p shifts the master by 104_729*p.
@@ -189,13 +191,12 @@ def estimate_T_av(
     *,
     seed: int = 0,
     workers: int = 1,
-    n_initial_states: int = 3,
     censor_horizon: bool = False,
 ) -> AveragingTimeEstimate:
     """Monte Carlo averaging-time estimate over independent seeded runs.
 
     ``x0_policy`` is "worst_cut" (the adversarial block split), "random"
-    (the max estimate over ``n_initial_states`` centered unit-variance
+    (the max estimate over :data:`N_INITIAL_STATES` centered unit-variance
     draws, approximating the supremum over starts), or an explicit start
     vector.  Requires ``runs`` >= 30 and a horizon long enough that at
     least 1 - 1/(2e) of runs stop exceeding the threshold before
@@ -225,7 +226,7 @@ def estimate_T_av(
                     graph.n,
                     np.random.default_rng(run_seed(seed, STREAM_RANDOM_X0 + j, 0)),
                 )
-                for j in range(n_initial_states)
+                for j in range(N_INITIAL_STATES)
             ]
         else:
             raise ValueError(f"unknown x0 policy {x0_policy!r}")
@@ -337,7 +338,9 @@ def epoch_operator(graph, rule: RuleDescriptor, events, index: int = 0) -> Epoch
     epoch's start state reproduces its end state up to roundoff relative
     to the input scale.
     """
-    n, _, eu, ev, _ = graph.view
+    n = graph.view.n
+    # per-event lookups are fastest in lists of the graph's Python ints
+    eu, ev = graph.view.eu.tolist(), graph.view.ev.tolist()
     rc = compile_rule(graph, rule)
     a = np.eye(n)
     for _t, e, case in events:
@@ -478,7 +481,6 @@ def algA_scaling_sweep(
     gamma_value: float | None = None,
     tvan_runs: int = 100,
     workers: int = 1,
-    censor_horizon: bool = True,
 ) -> SweepTable:
     """Averaging-time scaling of the periodic scheme on equal-block
     barbells.
@@ -488,7 +490,7 @@ def algA_scaling_sweep(
     keeps the ratio meaningful when complete blocks drive the block
     averaging times toward zero.  With the "n1" gamma mode on equal
     blocks the block means swap instead of contracting, so runs are
-    horizon-censored by default rather than erroring.
+    horizon-censored rather than erroring.
     """
     from .graph import build_barbell
 
@@ -507,7 +509,7 @@ def algA_scaling_sweep(
         horizon = max(20.0, 6.0 * period)
         est = estimate_T_av(
             g, rule, "worst_cut", runs, horizon,
-            seed=master, workers=workers, censor_horizon=censor_horizon,
+            seed=master, workers=workers, censor_horizon=True,
         )
         ratio = est.t_hat / (math.log(n) * (tv1 + tv2) + 1.0)
         rows.append([

@@ -44,8 +44,6 @@ class ExperimentConfig:
     seed: int = 0
     out: str = ""
     n: str = "16,32,64,128"
-    c: float = 4.0
-    gamma: str = "balanced"
     workers: int = 1
 
     @classmethod
@@ -355,7 +353,7 @@ def _check_invariants(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
     # locality on a step-driven replay
     rng = np.random.default_rng(cfg.seed)
     state = engine.StateVector.from_values(x0)
-    eu, ev, _ = g.flat_edges()
+    _, _, eu, ev, _ = g.view
     cut_ticks = 0
     locality_ok = True
     for _ in range(min(events, 2000)):

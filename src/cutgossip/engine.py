@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import KIND_CUT, KIND_INTRA
+from .graph import KIND_CROSS, KIND_CUT
 from .rules import RuleCase, RuleDescriptor, compile_rule, pair_update
 
 __all__ = [
@@ -216,8 +216,9 @@ def step(
     """
     _, _, eu, ev, kind = graph.view
     rc = compile_rule(graph, rule)
-    u, v, k = eu[edge], ev[edge], kind[edge]
-    case = rc.intra if k == KIND_INTRA else rc.cross
+    # Python ints: numpy scalars compare and index values more slowly
+    u, v, k = eu.item(edge), ev.item(edge), kind.item(edge)
+    case = rc.intra if k < KIND_CROSS else rc.cross
     if k == KIND_CUT and rc.phase >= 0:
         cut_ticks += 1
         if cut_ticks % rc.period == rc.phase:
@@ -240,8 +241,7 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     sample points and tick counters; a Python loop applies the pair
     updates in order; then the variance detector runs over the block.
     """
-    n, n1, _, _, _ = graph.view
-    eu, ev, tick_class = graph.arrays
+    n, n1, eu, ev, kind = graph.view
     x = [float(v) for v in np.asarray(x0, dtype=float)]
     if len(x) != n:
         raise ValueError(f"x0 has length {len(x)}, graph has {n} vertices")
@@ -252,7 +252,7 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
         raise ValueError("graph has no edges")
     intra, cross, period, phase, alpha, gamma = compile_rule(graph, rule)
     beta = 1.0 - alpha
-    class_case = np.array([intra, intra, cross, cross], dtype=np.int8)
+    kind_case = np.array([intra, intra, cross, cross], dtype=np.int8)  # per KIND_*
 
     rng = np.random.default_rng(np.random.PCG64(config.seed))
     inv_m = 1.0 / m
@@ -287,7 +287,7 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     log_e: list[np.ndarray] = []
     log_c: list[np.ndarray] = []
 
-    ticks = [0, 0, 0, 0]  # per tick class: block one, block two, cross, cut
+    ticks = [0, 0, 0, 0]  # per edge kind: KIND_E1, KIND_E2, KIND_CROSS, KIND_CUT
     events = 0
     t = 0.0
 
@@ -372,12 +372,12 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
                 if n_in < end:
                     end, timed_out, stop = n_in, True, True
             e = e[:end]
-            cls = tick_class[e]
-            cases = class_case[cls]
-            cut_at = (cls == 3).nonzero()[0]
+            kinds = kind[e]
+            cases = kind_case[kinds]
+            cut_at = (kinds == KIND_CUT).nonzero()[0]
             # the k-th cut tick of the run (k from 1) fires when k % period == phase
             if phase >= 0:
-                fired = cut_at[(phase - ticks[3] - 1) % period :: period]
+                fired = cut_at[(phase - ticks[KIND_CUT] - 1) % period :: period]
                 cases[fired] = NONCONVEX
             else:
                 fired = cut_at[:0]
@@ -390,9 +390,9 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
                 points = sampled.nonzero()[0]
             # t, nu12 and k_cut at each sample point
             p_t = times[points].tolist()
-            p_nu = ((cls >= 2).nonzero()[0].searchsorted(points, side="right")
-                    + (ticks[2] + ticks[3])).tolist()
-            p_k = (cut_at.searchsorted(points, side="right") + ticks[3]).tolist()
+            p_nu = ((kinds >= KIND_CROSS).nonzero()[0].searchsorted(points, side="right")
+                    + (ticks[KIND_CROSS] + ticks[KIND_CUT])).tolist()
+            p_k = (cut_at.searchsorted(points, side="right") + ticks[KIND_CUT]).tolist()
             pts = points.tolist()
             pts.append(end)  # sentinel
             U = eu[e].tolist()
@@ -436,7 +436,7 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
                 exceeding = bool(ex[-1])
                 ss = float(s_run[-1])
             # counters, epoch marks and the event log
-            counts = np.bincount(cls[:end], minlength=4).tolist()
+            counts = np.bincount(kinds[:end], minlength=4).tolist()
             ticks = [a + b for a, b in zip(ticks, counts)]
             f = fired[: fired.searchsorted(end)]
             if f.size:
@@ -454,8 +454,9 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
             if timed_out:
                 t = max_time
 
+    e1, e2, n_cross, n_cut = ticks
     if s_times[-1] != t:
-        take_sample(t, ticks[2] + ticks[3], ticks[3])
+        take_sample(t, n_cross + n_cut, n_cut)
 
     final = StateVector(np.array(x), t, initial_sum)
     # without a detector first_crossing stays None and the ratio is undefined
@@ -483,10 +484,10 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
         epoch_sample_idx=_joined(mark_sidx, np.int64),
         epoch_event_idx=_joined(mark_eidx, np.int64) if config.record_events else None,
         tick_totals={
-            "e1": ticks[0],
-            "e2": ticks[1],
-            "e12": ticks[2] + ticks[3],
-            "cut": ticks[3],
+            "e1": e1,
+            "e2": e2,
+            "e12": n_cross + n_cut,
+            "cut": n_cut,
             "total": events,
         },
         event_log=EventLog(
@@ -520,7 +521,8 @@ def replay_states(
 
     Index -1 selects the initial state.
     """
-    _, _, eu, ev, _ = graph.view
+    # per-event lookups are fastest in lists of the graph's Python ints
+    eu, ev = graph.view.eu.tolist(), graph.view.ev.tolist()
     rc = compile_rule(graph, rule)
     edges = event_log.edges.tolist()
     cases = event_log.cases.tolist()

@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "FlatView",
-    "EdgeArrays",
     "PartitionedGraph",
     "SideGraph",
     "GraphValidationError",
@@ -37,10 +36,12 @@ __all__ = [
     "validate",
 ]
 
-# Edge-kind codes used by the flat edge arrays consumed by the engine.
-KIND_INTRA = 0
-KIND_CROSS = 1  # cross edge other than the designated cut edge
-KIND_CUT = 2
+# Edge-kind codes of the flat view, in the order of the engine's tick
+# counters and of ``SimTrace.tick_totals``.
+KIND_E1 = 0  # inside block one
+KIND_E2 = 1  # inside block two
+KIND_CROSS = 2  # cross edge other than the designated cut edge
+KIND_CUT = 3
 
 CONNECTIVITY_RETRIES = 1000
 
@@ -60,38 +61,25 @@ class RetryBudgetExceededError(RuntimeError):
 
 
 class FlatView(NamedTuple):
-    """What the engine reads of a graph: sizes plus 0-based parallel edge
-    lists in storage order.  Vertices 0..n1-1 form block one; a view with
-    n1 == n is a single block with no cut edge."""
+    """What the engine, replay and the CLI read of a graph: sizes plus
+    read-only numpy ``intp`` arrays of 0-based endpoints in storage order,
+    with one ``KIND_*`` code per edge.  Vertices 0..n1-1 form block one; a
+    view with n1 == n is a single block with no cut edge."""
 
     n: int
     n1: int
-    eu: list[int]
-    ev: list[int]
-    kind: list[int]
+    eu: np.ndarray
+    ev: np.ndarray
+    kind: np.ndarray
 
 
 def _flat_view(n: int, n1: int, edges, kind: list[int]) -> FlatView:
-    return FlatView(n, n1, [u - 1 for u, _ in edges], [v - 1 for _, v in edges], kind)
-
-
-class EdgeArrays(NamedTuple):
-    """The flat view's edges as numpy arrays, for the engine's per-block
-    lookups.  ``tick_class`` sorts each edge into the engine's tick
-    counters: 0 block one, 1 block two, 2 cross, 3 the designated cut."""
-
-    eu: np.ndarray
-    ev: np.ndarray
-    tick_class: np.ndarray
-
-
-def _edge_arrays(view: FlatView) -> EdgeArrays:
-    # intra edges split by block; KIND_CROSS -> 2, KIND_CUT -> 3
-    tick_class = [
-        int(u >= view.n1) if k == KIND_INTRA else k + 1
-        for u, k in zip(view.eu, view.kind)
-    ]
-    return EdgeArrays(*(np.array(a, dtype=np.intp) for a in (view.eu, view.ev, tick_class)))
+    uv = np.array(edges, dtype=np.intp).reshape(-1, 2) - 1
+    eu, ev = np.ascontiguousarray(uv.T)
+    view = FlatView(n, n1, eu, ev, np.array(kind, dtype=np.intp))
+    for arr in view[2:]:
+        arr.flags.writeable = False  # the graph is immutable and shared by runs
+    return view
 
 
 @dataclass(frozen=True)
@@ -128,19 +116,16 @@ class PartitionedGraph:
     def view(self) -> FlatView:
         """The engine's flat view, edges in E1|E2|E12 storage order."""
         intra = self.edges_e1 + self.edges_e2
-        kind = [KIND_INTRA] * len(intra) + [KIND_CROSS] * len(self.edges_e12)
+        kind = [KIND_E1] * len(self.edges_e1) + [KIND_E2] * len(self.edges_e2)
+        kind += [KIND_CROSS] * len(self.edges_e12)
         kind[len(intra) + self.cut_index] = KIND_CUT
         return _flat_view(self.n, self.n1, intra + self.edges_e12, kind)
 
-    @cached_property
-    def arrays(self) -> EdgeArrays:
-        """The flat view as numpy arrays."""
-        return _edge_arrays(self.view)
-
     def flat_edges(self) -> tuple[list[int], list[int], list[int]]:
-        """Return (heads, tails, kinds) as 0-based parallel lists."""
+        """The view's (heads, tails, kinds) as 0-based parallel lists; the
+        benchmark in ``perfbench`` reads edges through it."""
         _, _, eu, ev, kind = self.view
-        return list(eu), list(ev), list(kind)
+        return eu.tolist(), ev.tolist(), kind.tolist()
 
     def digest(self) -> str:
         """Short content hash of the canonical serialization."""
@@ -160,13 +145,8 @@ class SideGraph:
 
     @cached_property
     def view(self) -> FlatView:
-        """The engine's flat view: one block, every edge intra."""
-        return _flat_view(self.n, self.n, self.edges, [KIND_INTRA] * len(self.edges))
-
-    @cached_property
-    def arrays(self) -> EdgeArrays:
-        """The flat view as numpy arrays."""
-        return _edge_arrays(self.view)
+        """The engine's flat view: one block, every edge in it."""
+        return _flat_view(self.n, self.n, self.edges, [KIND_E1] * len(self.edges))
 
     def digest(self) -> str:
         """Short label recorded in trace metadata."""

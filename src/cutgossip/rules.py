@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
-from .graph import KIND_CUT, KIND_INTRA, PartitionedGraph
+from .graph import PartitionedGraph
 
 __all__ = [
     "RuleCase",

@@ -85,17 +85,14 @@ class DominanceReport:
         }
 
 
-DEFAULT_QUANTILE_GRID = tuple(round(0.1 * i, 2) for i in range(1, 10))
+# Quantile levels at which dominance is tested.
+QUANTILE_GRID = tuple(round(0.1 * i, 2) for i in range(1, 10))
 
 
-def dominance_check(
-    increments,
-    n: int,
-    quantile_grid=DEFAULT_QUANTILE_GRID,
-    slack: float = 0.0,
-) -> DominanceReport:
-    """PASS iff every empirical quantile is at most the dominating-walk
-    increment quantile plus slack and no increment exceeds the log(n) cap.
+def dominance_check(increments, n: int, slack: float = 0.0) -> DominanceReport:
+    """PASS iff the empirical quantile at every :data:`QUANTILE_GRID` level
+    is at most the dominating-walk increment quantile plus slack and no
+    increment exceeds the log(n) cap.
 
     Also reports the heavy-epoch fraction: increments at or above
     -(3/2)log(n), i.e. epochs whose realized squared-norm growth was at
@@ -116,7 +113,7 @@ def dominance_check(
     )
     report.cap_ok = report.max_increment <= cap
     ok = report.cap_ok
-    for q in quantile_grid:
+    for q in QUANTILE_GRID:
         emp = float(np.quantile(incr, q))
         dom = dominating_increment_quantile(q, n)
         row_ok = emp <= dom + slack

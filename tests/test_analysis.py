@@ -171,8 +171,7 @@ def test_slow_convex_member_is_no_faster_than_vanilla():
 
 def test_estimator_random_policy_max_over_starts():
     g = build_barbell(2, 2)
-    est = estimate_T_av(g, VANILLA, "random", runs=30, horizon=30.0, seed=7,
-                        n_initial_states=2)
+    est = estimate_T_av(g, VANILLA, "random", runs=30, horizon=30.0, seed=7)
     assert est.t_hat > 0
 
 

@@ -167,11 +167,13 @@ def test_config_file_and_flag_override(tmp_path, capsys):
 
 
 def test_config_unknown_key_exits_2(tmp_path, capsys):
+    # C and gamma belong to the rule text, so config keys for them are unknown
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("grph=barbell:1,1\n")
-    code, _, err = run_cli(capsys, "estimate", "--config", str(cfg))
-    assert code == 2
-    assert "unknown config key" in err
+    for line in ("grph=barbell:1,1", "gamma=n1", "c=8"):
+        cfg.write_text(line + "\n")
+        code, _, err = run_cli(capsys, "estimate", "--config", str(cfg))
+        assert code == 2, line
+        assert "unknown config key" in err
 
 
 def test_config_roundtrip(tmp_path):

@@ -18,7 +18,9 @@ from cutgossip.engine import (
     write_trace_csv,
     write_trace_jsonl,
 )
-from cutgossip.graph import KIND_CUT, build_barbell, random_partitioned, side_subgraph
+from cutgossip.graph import (
+    KIND_CROSS, KIND_CUT, build_barbell, random_partitioned, side_subgraph,
+)
 from cutgossip.rules import RuleCase, RuleDescriptor
 
 
@@ -96,7 +98,7 @@ def test_step_alg_cross_edge_noop():
     g = random_partitioned(2, 2, 1.0, 1.0, 2, seed=3)
     rule = RuleDescriptor("algA", period=2)
     eu, ev, kind = g.flat_edges()
-    cross = kind.index(1)
+    cross = kind.index(KIND_CROSS)
     st = StateVector.from_values([1.0, 2.0, 3.0, 4.0])
     new, case, k = step(st, g, rule, edge=cross)
     assert case is RuleCase.NOOP
@@ -193,6 +195,21 @@ def test_recorded_cases_match_dispatch():
         assert case is stepped
     assert k == trace.tick_totals["cut"]
     assert np.array_equal(state.values, trace.final.values)
+
+
+def test_tick_totals_count_the_edge_kinds_of_the_event_log():
+    # plain cross edges as well as the cut edge, over more than one chunk
+    g = random_partitioned(4, 5, 0.8, 0.8, 4, seed=2)
+    kind = g.view.kind
+    assert np.count_nonzero(kind >= KIND_CROSS) >= 3
+    for rule in (VANILLA, RuleDescriptor("algA", period=3)):
+        trace = simulate(g, rule, worst_cut_x0(g),
+                         SimConfig(seed=4, max_events=9000, record_events=True))
+        e1, e2, cross, cut = np.bincount(kind[trace.event_log.edges], minlength=4)
+        assert trace.tick_totals == {
+            "e1": e1, "e2": e2, "e12": cross + cut, "cut": cut, "total": 9000,
+        }
+        assert (trace.nu12[-1], trace.k_cut[-1]) == (cross + cut, cut)
 
 
 def test_sample_times_strictly_increasing_counts_nondecreasing():

@@ -6,7 +6,9 @@ import pytest
 import cutgossip.graph as graph_mod
 
 from cutgossip.graph import (
-    KIND_INTRA,
+    KIND_CUT,
+    KIND_E1,
+    KIND_E2,
     GraphFormatError,
     GraphValidationError,
     PartitionedGraph,
@@ -218,7 +220,7 @@ def test_side_subgraph():
 def test_flat_edges_cut_designation():
     g = random_partitioned(3, 5, 0.9, 0.9, 3, seed=11)
     eu, ev, kind = g.flat_edges()
-    cuts = [i for i, k in enumerate(kind) if k == 2]
+    cuts = [i for i, k in enumerate(kind) if k == KIND_CUT]
     assert len(cuts) == 1
     u, v = eu[cuts[0]] + 1, ev[cuts[0]] + 1
     assert (u, v) == (g.n1, g.n1 + 1)
@@ -228,14 +230,23 @@ def test_views_of_both_graph_types():
     g = random_partitioned(3, 5, 0.9, 0.9, 3, seed=11)
     n, n1, eu, ev, kind = g.view
     assert (n, n1) == (8, 3)
-    assert (eu, ev, kind) == g.flat_edges()
+    assert (eu.tolist(), ev.tolist(), kind.tolist()) == g.flat_edges()
     assert g.view is g.view  # cached
     side = side_subgraph(g, 2)
     n, n1, eu, ev, kind = side.view
     assert n == n1 == 5
-    assert set(kind) == {KIND_INTRA}
+    assert set(kind.tolist()) == {KIND_E1}
     assert [(u + 1, v + 1) for u, v in zip(eu, ev)] == list(side.edges)
     assert side.digest() == f"side-n5-m{len(side.edges)}"
+
+
+def test_view_is_read_only():
+    # a cached view is shared by every run on the graph
+    g = build_barbell(2, 3)
+    for arr in g.view[2:]:
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert g.view.kind.tolist() == [KIND_E1] + [KIND_E2] * 3 + [KIND_CUT]
 
 
 def test_digest_stable_and_distinct():

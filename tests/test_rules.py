@@ -6,7 +6,7 @@ import pytest
 from cutgossip.analysis import worst_cut_x0
 from cutgossip.engine import SimConfig, StateVector, simulate, step
 from cutgossip.graph import (
-    KIND_CROSS, KIND_CUT, KIND_INTRA, build_barbell, random_partitioned,
+    KIND_CROSS, KIND_CUT, KIND_E1, KIND_E2, build_barbell, random_partitioned,
     side_subgraph,
 )
 from cutgossip.rules import (
@@ -105,7 +105,7 @@ def test_compute_period_validation():
 
 def tick_case(rule, kind, k):
     # case step() applies on an edge of ``kind`` when that tick is the k-th
-    # cut tick; this graph has intra, plain cross and cut edges
+    # cut tick; this graph has edges of all four kinds
     g = random_partitioned(2, 2, 1.0, 1.0, 2, seed=3)
     edge = g.flat_edges()[2].index(kind)
     before = k - 1 if kind == KIND_CUT else k
@@ -121,8 +121,9 @@ def tick_case(rule, kind, k):
         (KIND_CUT, 5, 3, RuleCase.NONCONVEX),
         (KIND_CUT, 1, 1, RuleCase.NONCONVEX),
         (KIND_CUT, 7, 1, RuleCase.NONCONVEX),
-        (KIND_INTRA, 0, 3, RuleCase.VANILLA),
-        (KIND_INTRA, 99, 1, RuleCase.VANILLA),
+        (KIND_E1, 0, 3, RuleCase.VANILLA),
+        (KIND_E1, 99, 1, RuleCase.VANILLA),
+        (KIND_E2, 0, 3, RuleCase.VANILLA),
         (KIND_CROSS, 2, 3, RuleCase.NOOP),
     ],
 )
@@ -135,7 +136,7 @@ def test_dispatch(kind, k, period, expected):
 def test_convex_class_rules_never_fire(rule):
     assert compile_rule(build_barbell(2, 2), rule).phase == -1
     expected = VANILLA if rule.kind == "vanilla" else CONVEX
-    for kind in (KIND_INTRA, KIND_CROSS, KIND_CUT):
+    for kind in (KIND_E1, KIND_E2, KIND_CROSS, KIND_CUT):
         for k in range(1, 5):
             assert tick_case(rule, kind, k) is expected
 
