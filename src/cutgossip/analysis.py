@@ -109,7 +109,7 @@ def decompose(state, graph) -> Decomposition:
     n1 = graph.view.n1
     if arr.size != graph.n:
         raise ValueError("state length does not match the graph")
-    mu1, mu2, sigma, var = _side_metrics(arr, n1)
+    mu1, mu2, sigma, var = _side_metrics(arr[None], n1)[:, 0].tolist()
     return Decomposition(mu1, mu2, abs(mu1) + abs(mu2), sigma, var)
 
 

@@ -37,6 +37,7 @@ __all__ = [
 RNG_ID = "numpy-PCG64/chunk4096"
 _CHUNK = 4096
 _FIRST_BLOCK = 64
+_PENDING = 1024  # sampled states held before their metrics are computed
 
 # The averaging time uses epsilon = 1/e: a run has settled once
 # var X(t) / var X(0) <= epsilon^2 = e^-2.
@@ -153,25 +154,33 @@ class SimTrace:
         return self.tick_totals["total"]
 
 
-def _side_metrics(arr: np.ndarray, n1: int) -> tuple[float, float, float, float]:
-    """Block means, within-block RMS deviation, and variance about the mean.
+def _side_metrics(states: np.ndarray, n1: int) -> np.ndarray:
+    """Block means, within-block RMS deviation, and variance about the mean
+    of each row of a (k, n) array of states, as a (4, k) array whose rows
+    are mu1, mu2, sigma and var.
 
-    The input is centered about its own mean, so the exact identity
+    Each row is centered about its own mean, so the exact identity
     var = sigma^2 + (n1*mu1^2 + n2*mu2^2)/n holds up to rounding.
     """
-    # sum / size is ndarray.mean()'s own arithmetic, without its overhead
-    n = arr.size
-    centered = arr - arr.sum() / n
-    b1 = centered[:n1]
-    b2 = centered[n1:]
-    mu1 = float(b1.sum()) / b1.size if b1.size else 0.0
-    mu2 = float(b2.sum()) / b2.size if b2.size else 0.0
-    var = float(centered @ centered) / n
-    d1 = b1 - mu1
-    d2 = b2 - mu2
-    ss = float(d1 @ d1) + (float(d2 @ d2) if d2.size else 0.0)
-    sigma = math.sqrt(max(ss / n, 0.0))
-    return mu1, mu2, sigma, var
+    # Row sums over the size and stacked matmuls give each row the bits of
+    # a 1-D arr.sum() / arr.size and c @ c; einsum and (c*c).sum(1) do not.
+    def row_means(b):
+        return b.sum(axis=1) / b.shape[1] if b.shape[1] else np.zeros(len(b))
+
+    def row_dots(d):
+        return np.matmul(d[:, None, :], d[:, :, None]).ravel()
+
+    n = states.shape[1]
+    centered = states - row_means(states)[:, None]
+    b1 = centered[:, :n1]
+    b2 = centered[:, n1:]
+    out = np.empty((4, len(states)))
+    mu1 = out[0] = row_means(b1)
+    mu2 = out[1] = row_means(b2)
+    ss = row_dots(b1 - mu1[:, None]) + row_dots(b2 - mu2[:, None])
+    np.sqrt(np.maximum(ss / n, 0.0), out=out[2])
+    out[3] = row_dots(centered) / n
+    return out
 
 
 def sum_sq_dev(x: list[float]) -> float:
@@ -291,18 +300,28 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     events = 0
     t = 0.0
 
+    # States at sample points whose metrics are not yet computed, measured
+    # in one batch on reaching _PENDING and at the end of the run.
+    pending: list[list[float]] = []
+
+    def measure() -> None:
+        states = np.array(pending)
+        pending.clear()
+        mu1, mu2, sg, vr = _side_metrics(states, n1).tolist()
+        s_mu1.extend(mu1)
+        s_mu2.extend(mu2)
+        s_sigma.extend(sg)
+        s_var.extend(vr)
+        if config.record_states:
+            s_states.extend(states)
+
     def take_sample(t: float, nu12: int, k_cut: int) -> None:
-        arr = np.array(x)
-        mu1, mu2, sg, vr = _side_metrics(arr, n1)
+        pending.append(x[:])
         s_times.append(t)
-        s_var.append(vr)
-        s_mu1.append(mu1)
-        s_mu2.append(mu2)
-        s_sigma.append(sg)
         s_nu.append(nu12)
         s_k.append(k_cut)
-        if config.record_states:
-            s_states.append(arr)
+        if len(pending) == _PENDING:
+            measure()
 
     take_sample(t, 0, 0)
 
@@ -424,6 +443,8 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
                                 x[:] = snapshot
                                 for col in columns:
                                     del col[n_rows:]
+                                # keep the copies of unmeasured rows before n_rows
+                                del pending[n_rows - len(s_var):]
                                 apply_events(U, V, C, end, pts, p_t, p_nu, p_k)
                 # after each event the run exceeds iff S > threshold; the last
                 # exceedance ends at the last event entered while exceeding
@@ -457,6 +478,8 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     e1, e2, n_cross, n_cut = ticks
     if s_times[-1] != t:
         take_sample(t, n_cross + n_cut, n_cut)
+    if pending:
+        measure()
 
     final = StateVector(np.array(x), t, initial_sum)
     # without a detector first_crossing stays None and the ratio is undefined
@@ -549,33 +572,38 @@ def replay_states(
 # ---------------------------------------------------------------------------
 
 _COLUMNS = ("t", "var", "mu1", "mu2", "sigma", "nu_t", "k")
+_ROWS = 1024  # rows formatted per chunk: bounds the text held at once
 
 
-def _sample_rows(trace: SimTrace):
-    for i in range(trace.n_samples):
-        yield (
-            float(trace.times[i]),
-            float(trace.var[i]),
-            float(trace.mu1[i]),
-            float(trace.mu2[i]),
-            float(trace.sigma[i]),
-            int(trace.nu12[i]),
-            int(trace.k_cut[i]),
-        )
+def _row_chunks(trace: SimTrace, cells, row: str):
+    """The sample rows as text, ``_ROWS`` rows per chunk, formatted a
+    column at a time: ``cells`` maps a column slice, as a list of Python
+    floats or ints, to its cell strings, and ``row`` is a %-template
+    taking one row's cells."""
+    cols = [np.asarray(col, dtype) for col, dtype in zip(
+        (trace.times, trace.var, trace.mu1, trace.mu2, trace.sigma,
+         trace.nu12, trace.k_cut), (float,) * 5 + (int,) * 2)]
+    for lo in range(0, trace.n_samples, _ROWS):
+        text = [cells(col[lo:lo + _ROWS].tolist()) for col in cols]
+        yield "".join(row % r for r in zip(*text))
+
+
+def _json_cells(values: list) -> list[str]:
+    # json.dumps writes a float or int in a list as it does in an object
+    return json.dumps(values)[1:-1].split(", ")
 
 
 def write_trace_jsonl(trace: SimTrace, path) -> None:
+    row = "{" + ", ".join(f"{json.dumps(c)}: %s" for c in _COLUMNS) + "}\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(json.dumps({"meta": trace.meta}) + "\n")
-        for row in _sample_rows(trace):
-            fh.write(json.dumps(dict(zip(_COLUMNS, row))) + "\n")
+        fh.writelines(_row_chunks(trace, _json_cells, row))
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:
+    row = ",".join(["%s"] * len(_COLUMNS)) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         meta = " ".join(f"{k}={v}" for k, v in trace.meta.items())
         fh.write(f"# {meta}\n")
         fh.write(",".join(_COLUMNS) + "\n")
-        for row in _sample_rows(trace):
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+        fh.writelines(_row_chunks(trace, lambda v: list(map(repr, v)), row))

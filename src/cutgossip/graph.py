@@ -121,6 +121,11 @@ class PartitionedGraph:
         kind[len(intra) + self.cut_index] = KIND_CUT
         return _flat_view(self.n, self.n1, intra + self.edges_e12, kind)
 
+    @cached_property
+    def compiled_rules(self) -> dict:
+        """Memo of :func:`rules.compile_rule` on this graph, by rule."""
+        return {}
+
     def flat_edges(self) -> tuple[list[int], list[int], list[int]]:
         """The view's (heads, tails, kinds) as 0-based parallel lists; the
         benchmark in ``perfbench`` reads edges through it."""
@@ -147,6 +152,11 @@ class SideGraph:
     def view(self) -> FlatView:
         """The engine's flat view: one block, every edge in it."""
         return _flat_view(self.n, self.n, self.edges, [KIND_E1] * len(self.edges))
+
+    @cached_property
+    def compiled_rules(self) -> dict:
+        """Memo of :func:`rules.compile_rule` on this graph, by rule."""
+        return {}
 
     def digest(self) -> str:
         """Short label recorded in trace metadata."""

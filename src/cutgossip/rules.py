@@ -234,7 +234,16 @@ class CompiledRule(NamedTuple):
 
 def compile_rule(graph, rule: RuleDescriptor) -> CompiledRule:
     """Resolve ``rule`` against a graph; the periodic scheme needs a cut
-    edge (a view with n1 < n) and a resolved period."""
+    edge (a view with n1 < n) and a resolved period.  Memoized on the
+    graph, so per-event callers such as ``engine.step`` resolve once."""
+    memo = graph.compiled_rules
+    compiled = memo.get(rule)
+    if compiled is None:
+        compiled = memo[rule] = _compile_rule(graph, rule)
+    return compiled
+
+
+def _compile_rule(graph, rule: RuleDescriptor) -> CompiledRule:
     if rule.kind == "vanilla":
         return CompiledRule(_VANILLA, _VANILLA, 1, -1, 0.0, 0.0)
     if rule.kind == "convex":

@@ -9,7 +9,9 @@ from cutgossip.analysis import bisection_x0, worst_cut_x0
 from cutgossip.engine import (
     RNG_ID,
     SimConfig,
+    SimTrace,
     StateVector,
+    _side_metrics,
     next_event,
     replay,
     replay_states,
@@ -438,6 +440,84 @@ def test_trace_csv_format(tmp_path):
     assert lines[1] == "t,var,mu1,mu2,sigma,nu_t,k"
     assert len(lines) == trace.n_samples + 2
     assert float(lines[2].split(",")[1]) == trace.var[0]
+
+
+# sha256 of the written files, recorded with the row-at-a-time writers
+# (one json.dumps of a dict, or one repr per cell, per row).
+WRITTEN = {
+    (1, "jsonl"): "a2528cfe2c3780ec42c63e089015253c65a14ee334d06a7f21526bd07f61b1ee",
+    (1, "csv"): "7b6bd883778aaa37def2e728b9ec70d9ef3697d433d490489fd71f3a63c39aec",
+    (7, "jsonl"): "66ef8faf5babdacc1e60b668d002b04b6d2516e50136ead42d21ee79c11761dc",
+    (7, "csv"): "e4082a33cb0290a3f8a2d915e7c44d4d00bcd33e1651604481a0b6c8eb634fd0",
+}
+
+
+@pytest.mark.parametrize("every", [1, 7])
+def test_trace_files_byte_identical(tmp_path, every):
+    # 5000 events span seven blocks and two chunks; 740 or 5001 rows span
+    # one or five writer chunks
+    g = build_barbell(8, 8)
+    x0 = np.random.default_rng(5).normal(size=g.n)
+    trace = simulate(g, RuleDescriptor("algA", period=3), x0,
+                     SimConfig(seed=11, max_events=5000, sample_every=every))
+    for write, ext in ((write_trace_jsonl, "jsonl"), (write_trace_csv, "csv")):
+        path = tmp_path / f"t.{ext}"
+        write(trace, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITTEN[every, ext]
+
+
+def test_trace_writers_spell_special_floats(tmp_path):
+    inf, nan = math.inf, math.nan
+    trace = SimTrace(
+        times=np.array([0.0, 0.5, inf]),
+        var=np.array([nan, -0.0, 1e-300]),
+        mu1=np.array([-0.0, inf, 0.1]),
+        mu2=np.array([-inf, 1.0, 2.5e16]),
+        sigma=np.array([0.0, nan, 1.0 / 3.0]),
+        nu12=np.array([0, 3, 2**40]),
+        k_cut=np.array([0, -1, 7]),
+        epoch_marks=np.empty(0), epoch_sample_idx=np.empty(0, np.int64),
+        epoch_event_idx=None, tick_totals={"total": 0}, event_log=None,
+        states=None, final=StateVector.from_values([0.0]),
+        first_crossing=None, last_exceedance=None,
+        meta={"seed": 1, "rule": "vanilla"},
+    )
+    write_trace_jsonl(trace, tmp_path / "t.jsonl")
+    assert (tmp_path / "t.jsonl").read_text().splitlines() == [
+        '{"meta": {"seed": 1, "rule": "vanilla"}}',
+        '{"t": 0.0, "var": NaN, "mu1": -0.0, "mu2": -Infinity, "sigma": 0.0,'
+        ' "nu_t": 0, "k": 0}',
+        '{"t": 0.5, "var": -0.0, "mu1": Infinity, "mu2": 1.0, "sigma": NaN,'
+        ' "nu_t": 3, "k": -1}',
+        '{"t": Infinity, "var": 1e-300, "mu1": 0.1, "mu2": 2.5e+16,'
+        ' "sigma": 0.3333333333333333, "nu_t": 1099511627776, "k": 7}',
+    ]
+    write_trace_csv(trace, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_text().splitlines()[2:] == [
+        "0.0,nan,-0.0,-inf,0.0,0,0",
+        "0.5,-0.0,inf,1.0,nan,3,-1",
+        "inf,1e-300,0.1,2.5e+16,0.3333333333333333,1099511627776,7",
+    ]
+
+
+def test_batched_metrics_match_the_per_row_arithmetic():
+    """Each row of a batch gets the bits of the 1-D arithmetic: sum / size
+    for the means and c @ c for the sums of squares."""
+    def one_row(x, n1):
+        c = x - x.sum() / x.size
+        b1, b2 = c[:n1], c[n1:]
+        mu1 = float(b1.sum()) / b1.size
+        mu2 = float(b2.sum()) / b2.size if b2.size else 0.0
+        d1, d2 = b1 - mu1, b2 - mu2
+        ss = float(d1 @ d1) + (float(d2 @ d2) if d2.size else 0.0)
+        return [mu1, mu2, math.sqrt(ss / x.size), float(c @ c) / x.size]
+
+    r = rng(8)
+    for n, n1 in ((2, 1), (5, 5), (32, 16), (33, 7), (300, 150)):
+        states = r.normal(size=(64, n)) * 10.0 ** r.uniform(-4, 6, (64, 1)) + 1e3
+        got = _side_metrics(states, n1)
+        for i, x in enumerate(states):
+            assert got[:, i].tolist() == one_row(x, n1)
 
 
 # ---------------------------------------------------------------------------

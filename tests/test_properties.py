@@ -7,6 +7,7 @@ sum, and every tick may change only the endpoints of its edge.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from cutgossip import engine  # noqa: E402
 from cutgossip.analysis import random_x0, worst_cut_x0  # noqa: E402
 from cutgossip.engine import (  # noqa: E402
     SimConfig, StateVector, next_event, replay_states, simulate, step,
@@ -132,3 +134,24 @@ def test_crossing_stop_ends_at_the_first_crossing(case, seed):
     assert stopped.final.time == stopped.last_exceedance == long.first_crossing
     want = replay_states(g, rule, x0, long.event_log, [k])[0]
     assert np.array_equal(stopped.final.values, want)
+
+
+@PROPERTY
+@given(cases(), st.integers(0, 2**32), st.sampled_from([3, None]))
+def test_crossing_stop_keeps_the_samples_before_it(case, seed, pending):
+    # A run that stops at its crossing drops the samples its last block
+    # took past the crossing, whether or not a full batch of sampled
+    # states (engine._PENDING, shrunk here to 3) was already measured.
+    g, x0, name = case
+    rule = RULES[name]
+    cfg = dict(seed=seed, max_events=LONG, sample_every=1, record_states=True)
+    long = simulate(g, rule, x0, SimConfig(**cfg))
+    with mock.patch.object(engine, "_PENDING", pending or engine._PENDING):
+        stopped = simulate(g, rule, x0, SimConfig(stop_at_crossing=True, **cfg))
+    k = stopped.n_samples
+    if long.first_crossing is None:
+        assert k == long.n_samples
+    else:
+        assert stopped.times[-1] == long.first_crossing
+    for col in ("times", "var", "mu1", "mu2", "sigma", "nu12", "k_cut", "states"):
+        assert np.array_equal(getattr(stopped, col), getattr(long, col)[:k])

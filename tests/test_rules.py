@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cutgossip import rules
 from cutgossip.analysis import worst_cut_x0
 from cutgossip.engine import SimConfig, StateVector, simulate, step
 from cutgossip.graph import (
@@ -147,6 +148,22 @@ def test_compile_rule_rejects_alg_without_cut_edge():
         compile_rule(side, RuleDescriptor("algA", period=2))
     with pytest.raises(ValueError, match="period"):
         compile_rule(build_barbell(3, 3), RuleDescriptor("algA"))
+
+
+def test_compile_rule_resolves_once_per_graph_and_rule(monkeypatch):
+    g = build_barbell(3, 3)
+    calls = []
+    resolve = rules.resolve_gamma
+    monkeypatch.setattr(rules, "resolve_gamma",
+                        lambda *a: calls.append(a) or resolve(*a))
+    compiled = compile_rule(g, RuleDescriptor("algA", period=2))
+    assert compile_rule(g, RuleDescriptor("algA", period=2)) is compiled
+    for k in range(3):
+        step(StateVector.from_values(worst_cut_x0(g)), g,
+             RuleDescriptor("algA", period=2), edge=k)
+    assert len(calls) == 1
+    assert compile_rule(build_barbell(3, 3), RuleDescriptor("algA", period=2)) == compiled
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("case", [VANILLA, CONVEX, NONCONVEX])
