@@ -13,15 +13,16 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .engine import (
-    SimConfig,
     SimTrace,
     StateVector,
     _side_metrics,
-    simulate,
+    simulate,  # unused here; perfbench/tracer.py wraps analysis.simulate
+    simulate_batch,
     sum_sq_dev,
 )
 from .graph import PartitionedGraph, SideGraph, side_subgraph
@@ -160,26 +161,21 @@ class AveragingTimeEstimate:
     censored: bool = False
 
 
-def _one_estimator_run(task):
-    graph, rule, x0, seed, horizon = task
+def _run_batch(graph, rule, x0, seeds, horizon: float, workers: int):
+    """(first crossings, last exceedances) of one estimator run per seed,
+    with the seeds split into ``workers`` parts run in parallel."""
     # A rule that never fires the amplified transfer is a convex pair map,
     # which never raises the variance: the first crossing is the last
     # exceedance, so the run stops there.
-    cfg = SimConfig(
-        seed=seed,
-        max_time=horizon,
-        stop_at_crossing=compile_rule(graph, rule).phase < 0,
-        sample_every=1 << 62,
-    )
-    trace = simulate(graph, rule, x0, cfg)
-    return trace.first_crossing, trace.last_exceedance
-
-
-def _run_batch(tasks, workers: int):
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_one_estimator_run, tasks))
-    return [_one_estimator_run(t) for t in tasks]
+    run = partial(simulate_batch, graph, rule, x0, max_time=horizon,
+                  stop_at_crossing=compile_rule(graph, rule).phase < 0)
+    if workers <= 1:
+        return run(seeds)
+    parts = [seeds[len(seeds) * w // workers : len(seeds) * (w + 1) // workers]
+             for w in range(workers)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        done = list(pool.map(run, parts))
+    return tuple(np.concatenate(col) for col in zip(*done))
 
 
 def estimate_T_av(
@@ -238,13 +234,10 @@ def estimate_T_av(
         # the engine's own reference, so its detector is on in every run
         if sum_sq_dev(x0.tolist()) == 0.0:
             raise DegenerateInitialStateError("initial state has zero variance")
-        tasks = [
-            (graph, rule, x0, run_seed(seed, j, r), horizon)
-            for r in range(runs)
-        ]
-        results = _run_batch(tasks, workers)
-        firsts = np.array([math.nan if fc is None else fc for fc, _ in results])
-        lasts = np.array([le for _, le in results])
+        firsts, lasts = _run_batch(
+            graph, rule, x0, [run_seed(seed, j, r) for r in range(runs)],
+            horizon, workers,
+        )
 
         censored = False
         settled = float(np.mean(lasts <= horizon / 2))

@@ -28,6 +28,7 @@ __all__ = [
     "next_event",
     "step",
     "simulate",
+    "simulate_batch",
     "replay",
     "replay_states",
     "write_trace_jsonl",
@@ -38,6 +39,14 @@ RNG_ID = "numpy-PCG64/chunk4096"
 _CHUNK = 4096
 _FIRST_BLOCK = 64
 _PENDING = 1024  # sampled states held before their metrics are computed
+# simulate_batch: runs advanced in lockstep, steps per block, and edges
+# drawn per call, at most; they bound its buffers
+_GROUP = 32
+_BLOCK = 256
+_DRAW = 1024
+_CASES = tuple(RuleCase)
+_NONCONVEX = int(RuleCase.NONCONVEX)
+_NOOP = int(RuleCase.NOOP)
 
 # The averaging time uses epsilon = 1/e: a run has settled once
 # var X(t) / var X(0) <= epsilon^2 = e^-2.
@@ -108,8 +117,8 @@ class EventLog:
         return float(self.times[i]), int(self.edges[i]), RuleCase(int(self.cases[i]))
 
     def __iter__(self):
-        for i in range(len(self.times)):
-            yield self[i]
+        return zip(self.times.tolist(), self.edges.tolist(),
+                   map(_CASES.__getitem__, self.cases.tolist()))
 
 
 @dataclass
@@ -198,6 +207,103 @@ def sum_sq_dev(x: list[float]) -> float:
     return s
 
 
+def _start(graph, x0) -> tuple[list[float], float]:
+    """x0 as a list of floats checked against ``graph``, and its S0."""
+    x = [float(v) for v in np.asarray(x0, dtype=float)]
+    if len(x) != graph.view.n:
+        raise ValueError(f"x0 has length {len(x)}, graph has {graph.view.n} vertices")
+    ss = sum_sq_dev(x)
+    if len(graph.view.eu) < 1:
+        raise ValueError("graph has no edges")
+    return x, ss
+
+
+def _fired(runs: np.ndarray, cut_before: np.ndarray, period: int, phase: int) -> np.ndarray:
+    """Which cut ticks of a block fire the amplified transfer: the k-th cut
+    tick of a run (k from 1) fires when k % period == phase.  ``runs``
+    gives the run of each of the block's cut ticks, grouped by run and in
+    event order within a run, and ``cut_before`` each run's cut ticks
+    before the block."""
+    k = np.arange(1, len(runs) + 1) - runs.searchsorted(runs) + cut_before[runs]
+    return k % period == phase
+
+
+class _Detector:
+    """The variance detector of R runs, advanced a block of events at a time.
+
+    It tracks S = sum((x - mean)^2) of each run.  The pair map
+    x_u' = (1-c)x_u + c*x_v, x_v' = c*x_u + (1-c)x_v lowers S by exactly
+    2c(1-c)(x_v - x_u)^2, whatever the mean, so a shifted or scaled x0
+    settles at the same event.  Over 1e6 events the running S drifts by
+    ~1e-12 S0 (~1e-7 S0 at an offset of 1e8 sd), far below the threshold
+    it is compared with; recorded samples recompute metrics exactly.
+
+    After each event a run exceeds iff S > RATIO_THRESHOLD * S0.  Per run,
+    ``first`` is the time of the first event that brought S to the
+    threshold or below (nan before), ``last`` the time of the event that
+    ended the latest stretch above it, and ``exceeding`` whether the run
+    is above it now.  With ``stop``, S stays put after the first crossing.
+    """
+
+    def __init__(self, ss: float, runs: int, alpha: float, gamma: float,
+                 stop: bool) -> None:
+        # 2c(1-c) per case code (NOOP, VANILLA, CONVEX, NONCONVEX)
+        self.coef = np.array([0.0, 0.5, 2.0 * alpha * (1.0 - alpha),
+                              2.0 * gamma * (1.0 - gamma)])
+        self.thr = RATIO_THRESHOLD * ss
+        self.stop = stop
+        self.ss = np.full(runs, ss)
+        self.exceeding = np.ones(runs, dtype=bool)  # the ratio at t=0 is 1
+        self.first = np.full(runs, np.nan)
+        self.last = np.zeros(runs)
+
+    def block(self, d: np.ndarray, cases: np.ndarray, times: np.ndarray,
+              ends: np.ndarray | None = None) -> np.ndarray:
+        """Advance over a block of b events, given as (b, R) arrays: ``d``
+        holds each event's x_v - x_u before its update and is overwritten
+        with S after it, ``cases`` the applied case codes and ``times`` the
+        event times.  Events of run r from ``ends[r]`` on are ignored.
+        Returns the index of each run's first crossing in the block, or -1.
+        """
+        b = len(d)
+        # S after each event, as the running ss -= 2c(1-c)*d*d gives it
+        d *= self.coef.take(cases) * d
+        d[0] = self.ss - d[0]
+        np.subtract.accumulate(d, axis=0, out=d)
+        if ends is not None:
+            for r in (ends < b).nonzero()[0].tolist():
+                e = ends[r]
+                d[e:, r] = d[e - 1, r] if e else self.ss[r]
+        j = np.full(len(self.ss), -1)
+        pending = np.isnan(self.first)
+        if pending.any():
+            below = d <= self.thr
+            for r in (pending & below.any(axis=0)).nonzero()[0].tolist():
+                j[r] = below[:, r].argmax()
+                self.first[r] = times[j[r], r]
+                if self.stop:
+                    d[j[r] + 1:, r] = d[j[r], r]
+        # the latest stretch above the threshold ends at the last event
+        # entered while exceeding
+        ex = d > self.thr
+        was = ex.any(axis=0)
+        ended = (was | self.exceeding) & ~ex[-1]
+        if ended.any():
+            k = np.where(was, b - ex[::-1].argmax(axis=0), 0)
+            cols = ended.nonzero()[0]
+            self.last[cols] = times[k[cols], cols]
+        self.exceeding = ex[-1].copy()
+        self.ss = d[-1].copy()
+        return j
+
+    def last_exceedances(self) -> np.ndarray:
+        return np.where(self.exceeding, math.inf, self.last)
+
+    def keep(self, rows: np.ndarray) -> None:
+        for name in ("ss", "exceeding", "first", "last"):
+            setattr(self, name, getattr(self, name)[rows])
+
+
 def next_event(rng: np.random.Generator, edge_count: int) -> tuple[float, int]:
     """Draw one merged-clock event: waiting time Exp(edge_count) and a
     uniformly random edge index."""
@@ -251,14 +357,9 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     updates in order; then the variance detector runs over the block.
     """
     n, n1, eu, ev, kind = graph.view
-    x = [float(v) for v in np.asarray(x0, dtype=float)]
-    if len(x) != n:
-        raise ValueError(f"x0 has length {len(x)}, graph has {n} vertices")
-    ss = sum_sq_dev(x)
+    x, ss = _start(graph, x0)
     initial_sum = math.fsum(x)
     m = len(eu)
-    if m < 1:
-        raise ValueError("graph has no edges")
     intra, cross, period, phase, alpha, gamma = compile_rule(graph, rule)
     beta = 1.0 - alpha
     kind_case = np.array([intra, intra, cross, cross], dtype=np.int8)  # per KIND_*
@@ -266,19 +367,8 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     rng = np.random.default_rng(np.random.PCG64(config.seed))
     inv_m = 1.0 / m
 
-    # Variance detector on S = sum((x - mean)^2).  The pair map
-    # x_u' = (1-c)x_u + c*x_v, x_v' = c*x_u + (1-c)x_v lowers S by exactly
-    # 2c(1-c)(x_v - x_u)^2, whatever the mean, so a shifted or scaled x0
-    # settles at the same event.  Over 1e6 events the running S drifts by
-    # ~1e-12 S0 (~1e-7 S0 at an offset of 1e8 sd), far below the threshold
-    # it is compared with; recorded samples recompute metrics exactly.
-    # coef holds 2c(1-c) per case code (NOOP, VANILLA, CONVEX, NONCONVEX).
-    coef = np.array([0.0, 0.5, 2.0 * alpha * beta, 2.0 * gamma * (1.0 - gamma)])
-    detect = ss > 0.0
-    ss_thr = RATIO_THRESHOLD * ss
-    exceeding = detect  # ratio at t=0 is 1, above the threshold
-    first_crossing: float | None = None
-    last_end = 0.0
+    # without variance the ratio is undefined and there is no detector
+    det = _Detector(ss, 1, alpha, gamma, config.stop_at_crossing) if ss > 0.0 else None
 
     s_times: list[float] = []
     s_var: list[float] = []
@@ -365,7 +455,6 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     max_time = config.max_time
     max_events = config.max_events
     sample_every = config.sample_every
-    NONCONVEX = int(RuleCase.NONCONVEX)
     size = _FIRST_BLOCK
     stop = max_events == 0 or max_time == 0.0
     while not stop:
@@ -394,10 +483,10 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
             kinds = kind[e]
             cases = kind_case[kinds]
             cut_at = (kinds == KIND_CUT).nonzero()[0]
-            # the k-th cut tick of the run (k from 1) fires when k % period == phase
             if phase >= 0:
-                fired = cut_at[(phase - ticks[KIND_CUT] - 1) % period :: period]
-                cases[fired] = NONCONVEX
+                fired = cut_at[_fired(np.zeros_like(cut_at), np.array([ticks[KIND_CUT]]),
+                                      period, phase)]
+                cases[fired] = _NONCONVEX
             else:
                 fired = cut_at[:0]
             # samples: every firing, and every sample_every-th event of the run
@@ -420,42 +509,23 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
             n_rows = len(s_times)
             # a run that stops at its first crossing may pass it within the
             # block; it then replays the block from here up to the crossing
-            snapshot = (x.copy() if detect and first_crossing is None
-                        and config.stop_at_crossing else None)
+            snapshot = (x.copy() if config.stop_at_crossing and det is not None
+                        and math.isnan(det.first[0]) else None)
             ds = apply_events(U, V, C, end, pts, p_t, p_nu, p_k)
-            if detect and end:
-                # per block, in numpy: the variance detector.  S after each
-                # event, as the running ss -= 2c(1-c)*d*d gives it
-                s_run = np.fromiter(ds, np.float64, end)
-                s_run *= coef[cases[:end]] * s_run
-                s_run[0] = ss - s_run[0]
-                np.subtract.accumulate(s_run, out=s_run)
-                if first_crossing is None:
-                    below = s_run <= ss_thr
-                    if below.any():
-                        j = int(below.argmax())
-                        first_crossing = float(times[j])
-                        if snapshot is not None:
-                            stop, timed_out = True, False
-                            if j + 1 < end:
-                                end = j + 1
-                                s_run = s_run[:end]
-                                x[:] = snapshot
-                                for col in columns:
-                                    del col[n_rows:]
-                                # keep the copies of unmeasured rows before n_rows
-                                del pending[n_rows - len(s_var):]
-                                apply_events(U, V, C, end, pts, p_t, p_nu, p_k)
-                # after each event the run exceeds iff S > threshold; the last
-                # exceedance ends at the last event entered while exceeding
-                ex = s_run > ss_thr
-                if not ex[-1]:
-                    if ex.any():
-                        last_end = float(times[end - ex[::-1].argmax()])
-                    elif exceeding:
-                        last_end = float(times[0])
-                exceeding = bool(ex[-1])
-                ss = float(s_run[-1])
+            if det is not None and end:
+                # per block, in numpy: the variance detector
+                d = np.fromiter(ds, np.float64, end)[:, None]
+                j = int(det.block(d, cases[:, None], times[:end, None])[0])
+                if j >= 0 and snapshot is not None:
+                    stop, timed_out = True, False
+                    if j + 1 < end:
+                        end = j + 1
+                        x[:] = snapshot
+                        for col in columns:
+                            del col[n_rows:]
+                        # keep the copies of unmeasured rows before n_rows
+                        del pending[n_rows - len(s_var):]
+                        apply_events(U, V, C, end, pts, p_t, p_nu, p_k)
             # counters, epoch marks and the event log
             counts = np.bincount(kinds[:end], minlength=4).tolist()
             ticks = [a + b for a, b in zip(ticks, counts)]
@@ -482,8 +552,11 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
         measure()
 
     final = StateVector(np.array(x), t, initial_sum)
-    # without a detector first_crossing stays None and the ratio is undefined
-    last_exc = (math.inf if exceeding else last_end) if detect else None
+    first_crossing = last_exc = None
+    if det is not None:
+        if not math.isnan(det.first[0]):
+            first_crossing = float(det.first[0])
+        last_exc = float(det.last_exceedances()[0])
 
     meta = {
         "seed": config.seed,
@@ -525,6 +598,162 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
         last_exceedance=last_exc,
         meta=meta,
     )
+
+
+def simulate_batch(
+    graph, rule: RuleDescriptor, x0, seeds, max_time: float,
+    stop_at_crossing: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(first crossings, last exceedances) of one run per seed, bit for bit
+    those of :func:`simulate` with ``SimConfig(seed, max_time=max_time,
+    stop_at_crossing=stop_at_crossing)``; a run that never crossed has a
+    nan first crossing.  x0 must have nonzero variance.
+
+    Up to :data:`_GROUP` runs advance in lockstep, one event each per
+    step, on one flat array of their values; each run draws its own
+    chunks, as ``simulate`` does.  Per block, numpy gives every run's
+    event times, cases, firings and endpoints.  Per step, one gather, one
+    update and one scatter apply the rule's intra-block case to every
+    run; a no-op event updates two scratch slots instead, and Python
+    redoes the rare firings.  Then the variance detector runs over the
+    block, and runs that met their time cap, or their first crossing when
+    they stop there, leave the group.
+    """
+    x, ss = _start(graph, x0)
+    if ss == 0.0:
+        raise ValueError("x0 has zero variance; the ratio is undefined")
+    if not max_time >= 0:
+        raise ValueError("max_time must be nonnegative")
+    seeds = list(seeds)
+    first = np.full(len(seeds), np.nan)
+    last = np.full(len(seeds), np.nan)
+    groups = max(1, -(-len(seeds) // _GROUP))  # of near-equal size
+    bounds = [len(seeds) * g // groups for g in range(groups + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        _lockstep(graph, rule, x, ss, seeds[lo:hi], max_time, stop_at_crossing,
+                  first[lo:hi], last[lo:hi])
+    return first, last
+
+
+def _lockstep(graph, rule, x, ss, seeds, max_time, stop, first, last) -> None:
+    """:func:`simulate_batch` over one group of runs, written into the
+    group's slices ``first`` and ``last``."""
+    n, _, eu, ev, kind = graph.view
+    m = len(eu)
+    intra, cross, period, phase, alpha, gamma = compile_rule(graph, rule)
+    edge_case = np.array([intra, intra, cross, cross], dtype=np.intp)[kind]
+    is_cut = kind == KIND_CUT
+    # Row r's values sit at w*r .. w*r+n-1, followed by two scratch slots:
+    # a no-op edge averages those instead of its endpoints.
+    w = n + 2
+    noop = edge_case == _NOOP
+    step_u = np.where(noop, n, eu)
+    step_v = np.where(noop, n + 1, ev)
+    # values gathered per step: x_u and x_v, and for a convex blend also
+    # x_v and x_u, which one multiply by [alpha; alpha; beta; beta] and one
+    # add turn into the new x_u and x_v
+    vanilla = intra == RuleCase.VANILLA
+    k = 2 if vanilla else 4
+    R = len(seeds)
+    rngs = [np.random.default_rng(np.random.PCG64(s)) for s in seeds]
+    rows = np.arange(R)  # the run of each row still in the group
+    X = np.zeros((R, w))
+    X[:, :n] = x
+    X = X.ravel()
+    t = np.zeros(R)
+    cut = np.zeros(R, dtype=np.int64)
+    det = _Detector(ss, R, alpha, gamma, stop)
+    # per-group buffers: each row's chunk of waiting times and latest edge
+    # draws, and per block the positions in X and the values gathered at
+    # each step
+    exps = np.empty((R, _CHUNK))
+    ints = np.empty((R, _DRAW), dtype=np.int32)
+    idx_buf = np.empty(_BLOCK * k * R, dtype=np.intp)
+    g_buf = np.empty(_BLOCK * k * R)
+    d_buf = np.empty(_BLOCK * R)
+    events = 0
+    while R:
+        lo = events % _CHUNK
+        if not lo:
+            for r, rng in enumerate(rngs):
+                rng.standard_exponential(out=exps[r])  # exponential(1/m) is 1/m times these
+            exps[:R] *= 1.0 / m
+        at = lo % _DRAW
+        if not at:
+            # in each stream a chunk's edge draws follow its waiting times;
+            # drawn _DRAW at a time they are the same numbers
+            for r, rng in enumerate(rngs):
+                ints[r] = rng.integers(0, m, _DRAW, dtype=np.int32)
+        # blocks of 64, 64, 128, 256, 256, ... events never straddle a draw
+        b = min(_BLOCK, lo & -lo) if lo else _FIRST_BLOCK
+        hi = lo + b
+        times = exps[:R, lo:hi]
+        times[:, 0] += t
+        np.add.accumulate(times, axis=1, out=times)  # the same left fold as t += dt
+        e = ints[:R, at : at + b].T.astype(np.intp)  # (b, R)
+        cases = edge_case.take(e)
+        off = np.arange(0, R * w, w)
+        fixes = []
+        if phase >= 0:
+            cr, cs = is_cut.take(e).T.nonzero()  # each row's cut ticks, in event order
+            fire = _fired(cr, cut, period, phase)
+            cut += np.bincount(cr, minlength=R)
+            cr, cs = cr[fire], cs[fire]
+            cases[cs, cr] = _NONCONVEX
+            fire_e = e[cs, cr]
+            fixes = sorted(zip(cs.tolist(), cr.tolist(), (eu[fire_e] + off[cr]).tolist(),
+                               (ev[fire_e] + off[cr]).tolist()))
+        fixes.append((b, 0, 0, 0))  # sentinel
+        idx = idx_buf[: b * k * R].reshape(b, k, R)
+        np.add(step_u.take(e), off, out=idx[:, 0])
+        np.add(step_v.take(e), off, out=idx[:, 1])
+        if not vanilla:
+            idx[:, 2] = idx[:, 1]
+            idx[:, 3] = idx[:, 0]
+            blend = np.repeat([alpha, alpha, 1.0 - alpha, 1.0 - alpha], R).reshape(4, R)
+        half = np.full(R, 0.5)
+        g = g_buf[: b * k * R].reshape(b, k, R)
+        nxt, f = fixes[0][0], 0
+        for i, (ix, gi) in enumerate(zip(idx, g)):
+            X.take(ix, None, gi, "wrap")
+            if vanilla:
+                h = gi[0] + gi[1]
+                h *= half
+                X.put(ix, h)  # the mean, once for every u and once for every v
+            else:
+                h = gi * blend
+                X.put(ix[:2], h[:2] + h[2:])
+            while i == nxt:
+                # a firing on the cut edge, whose default case is a no-op:
+                # its endpoints still hold their values from before the step
+                _, r, u, v = fixes[f]
+                gi[0, r] = xu = X.item(u)
+                gi[1, r] = xv = X.item(v)
+                X[u], X[v] = pair_update(_NONCONVEX, xu, xv, alpha, gamma)
+                f += 1
+                nxt = fixes[f][0]
+        d = d_buf[: b * R].reshape(b, R)
+        np.subtract(g[:, 1], g[:, 0], out=d)
+        ends = np.full(R, b)
+        for r in (times[:, -1] > max_time).nonzero()[0].tolist():
+            ends[r] = times[r].searchsorted(max_time, side="right")
+        crossed = det.block(d, cases, times.T, ends) >= 0
+        t = times[:, -1].copy()
+        events += b
+        done = ends < b
+        if stop:
+            done |= crossed
+        if done.any():
+            first[rows[done]] = det.first[done]
+            last[rows[done]] = det.last_exceedances()[done]
+            keep = ~done
+            rngs = [rng for rng, kept in zip(rngs, keep.tolist()) if kept]
+            rows, t, cut = rows[keep], t[keep], cut[keep]
+            det.keep(keep)
+            X = X.reshape(R, w)[keep].ravel()
+            exps[: len(rows), hi:] = exps[:R, hi:][keep]
+            ints[: len(rows), at + b :] = ints[:R, at + b :][keep]
+            R = len(rows)
 
 
 def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -152,6 +153,28 @@ def test_sweep_alg_to_stdout(capsys):
     )
     assert code == 0
     assert stdout.splitlines()[0].startswith("n,n1,n2,rule,gamma_mode")
+
+
+# sha256 of stdout, pinned so that a change to the estimator's event loop
+# shows up as a changed digest unless every printed value is the same
+@pytest.mark.parametrize("argv, digest", [
+    (["sweep", "--family", "barbell", "--rule", "algA:gamma=balanced,C=4",
+      "--n", "16,32", "--runs", "30", "--seed", "3"],
+     "d83c9590fa4fed7aaced2ee7467a31269e95e610d46f1b1175cb30e78e9191fb"),
+    (["sweep", "--family", "barbell", "--rule", "vanilla", "--n", "16,32",
+      "--runs", "30", "--seed", "3"],
+     "3a83af0a54055cde874201eab41ed598ee7c09bd9b3e8b969c692a1387817447"),
+    (["estimate", "--graph", "barbell:8,8", "--rule", "algA:gamma=balanced",
+      "--x0", "random", "--runs", "30", "--horizon", "60", "--seed", "3"],
+     "78513a8b077291f0bcbf60afc701541aa33a7ca2ce7382654b2235ea42e39eb9"),
+    (["estimate", "--graph", "barbell:8,8", "--rule", "convex:a=0.3",
+      "--x0", "random", "--runs", "30", "--horizon", "100", "--seed", "3"],
+     "a75005610242603df6dc4c3b1c235d1df6814f596ef9081cd3915afdfe30e283"),
+])
+def test_stdout_digest(capsys, argv, digest):
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):

@@ -16,6 +16,7 @@ from cutgossip.engine import (
     replay,
     replay_states,
     simulate,
+    simulate_batch,
     step,
     write_trace_csv,
     write_trace_jsonl,
@@ -398,6 +399,21 @@ def test_overflowing_x0_rejected():
     with pytest.raises(ValueError, match="overflows"):
         simulate(g, VANILLA, worst_cut_x0(g) * 1e300,
                  SimConfig(seed=1, max_events=10))
+
+
+def test_batch_kernel_rejects_bad_inputs():
+    g = build_barbell(2, 2)
+    x0 = worst_cut_x0(g)
+    with pytest.raises(ValueError, match="zero variance"):
+        simulate_batch(g, VANILLA, np.ones(4), [1, 2], 5.0)
+    with pytest.raises(ValueError, match="length"):
+        simulate_batch(g, VANILLA, [1.0, -1.0], [1, 2], 5.0)
+    with pytest.raises(ValueError, match=r"x0\[0\]"):
+        simulate_batch(g, VANILLA, [math.nan, 1.0, 0.0, 0.0], [1, 2], 5.0)
+    with pytest.raises(ValueError, match="max_time"):
+        simulate_batch(g, VANILLA, x0, [1, 2], -1.0)
+    first, last = simulate_batch(g, VANILLA, x0, [], 5.0)
+    assert first.shape == last.shape == (0,)
 
 
 def test_replay_states_selects_indices():

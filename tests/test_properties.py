@@ -3,7 +3,9 @@
 The three rule families are affine-equivariant, and the variance
 detector only sees differences of values, so a start a*x0 + b must cross
 the e^-2 ratio at the same events as x0.  Every run must also conserve the
-sum, and every tick may change only the endpoints of its edge.
+sum, and every tick may change only the endpoints of its edge.  The
+lockstep batch kernel must give each run's crossings bit for bit as a
+lone ``simulate`` run does.
 """
 
 import math
@@ -18,9 +20,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from cutgossip import engine  # noqa: E402
 from cutgossip.analysis import random_x0, worst_cut_x0  # noqa: E402
 from cutgossip.engine import (  # noqa: E402
-    SimConfig, StateVector, next_event, replay_states, simulate, step,
+    SimConfig, StateVector, next_event, replay_states, simulate,
+    simulate_batch, step,
 )
-from cutgossip.graph import random_partitioned  # noqa: E402
+from cutgossip.graph import build_barbell, random_partitioned  # noqa: E402
 from cutgossip.rules import RuleDescriptor  # noqa: E402
 
 RULES = {
@@ -155,3 +158,39 @@ def test_crossing_stop_keeps_the_samples_before_it(case, seed, pending):
         assert stopped.times[-1] == long.first_crossing
     for col in ("times", "var", "mu1", "mu2", "sigma", "nu12", "k_cut", "states"):
         assert np.array_equal(getattr(stopped, col), getattr(long, col)[:k])
+
+
+@st.composite
+def barbell_cases(draw):
+    g = build_barbell(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    return g, worst_cut_x0(g), draw(st.sampled_from(sorted(RULES)))
+
+
+@PROPERTY
+@given(st.one_of(cases(), barbell_cases()),
+       # one run, a full group of runs, and one run more than that
+       st.sampled_from([1, engine._GROUP, engine._GROUP + 1]),
+       st.integers(0, 2**32),
+       st.floats(0.5, 30.0),
+       # the kernel's blocks end after events 64, 128, 256, 512, 768, ...
+       st.sampled_from([None, 63, 127, 255, 511, 767]))
+def test_batch_kernel_equals_per_run_simulate(case, runs, seed, horizon, edge):
+    g, x0, name = case
+    rule = RULES[name]
+    seeds = [seed + r for r in range(runs)]
+    if edge is not None:
+        # a horizon at the time of a block's last event in the first run
+        log = simulate(g, rule, x0, SimConfig(seed=seed, max_events=edge + 1,
+                                              sample_every=1 << 62,
+                                              record_events=True)).event_log
+        horizon = float(log.times[-1])
+    for stop in (False, True):
+        first, last = simulate_batch(g, rule, x0, seeds, horizon, stop)
+        traces = [simulate(g, rule, x0, SimConfig(seed=s, max_time=horizon,
+                                                  stop_at_crossing=stop,
+                                                  sample_every=1 << 62))
+                  for s in seeds]
+        want_first = [math.nan if tr.first_crossing is None else tr.first_crossing
+                      for tr in traces]
+        assert first.tobytes() == np.array(want_first).tobytes()
+        assert last.tobytes() == np.array([tr.last_exceedance for tr in traces]).tobytes()
