@@ -18,6 +18,7 @@ from functools import partial
 import numpy as np
 
 from .engine import (
+    EventLog,
     SimTrace,
     StateVector,
     _side_metrics,
@@ -27,7 +28,7 @@ from .engine import (
 )
 from .graph import PartitionedGraph, SideGraph, side_subgraph
 from .rules import (
-    RuleDescriptor, compile_rule, compute_period, pair_update, resolve_gamma,
+    RuleCase, RuleDescriptor, compile_rule, compute_period, pair_update, resolve_gamma,
 )
 
 __all__ = [
@@ -194,8 +195,8 @@ def estimate_T_av(
     ``x0_policy`` is "worst_cut" (the adversarial block split), "random"
     (the max estimate over :data:`N_INITIAL_STATES` centered unit-variance
     draws, approximating the supremum over starts), or an explicit start
-    vector.  Requires ``runs`` >= 30 and a horizon long enough that at
-    least 1 - 1/(2e) of runs stop exceeding the threshold before
+    vector.  Requires ``runs`` >= 30 and a finite horizon long enough
+    that at least 1 - 1/(2e) of runs stop exceeding the threshold before
     horizon/2; otherwise :class:`HorizonTooShortError` (or, with
     ``censor_horizon``, unsettled runs are clamped to the horizon and the
     result is flagged).
@@ -210,6 +211,8 @@ def estimate_T_av(
         raise ValueError("need at least 30 runs")
     if not horizon > 0:
         raise ValueError("horizon must be positive")
+    if horizon == math.inf:
+        raise ValueError("horizon must be finite")
 
     if isinstance(x0_policy, str):
         if x0_policy == "worst_cut":
@@ -331,15 +334,13 @@ def epoch_operator(graph, rule: RuleDescriptor, events, index: int = 0) -> Epoch
     epoch's start state reproduces its end state up to roundoff relative
     to the input scale.
     """
-    n = graph.view.n
-    # per-event lookups are fastest in lists of the graph's Python ints
-    eu, ev = graph.view.eu.tolist(), graph.view.ev.tolist()
-    rc = compile_rule(graph, rule)
-    a = np.eye(n)
-    for _t, e, case in events:
-        u, v = eu[e], ev[e]
-        a[u], a[v] = pair_update(case, a[u], a[v], rc.alpha, rc.gamma)
-    return EpochOperator(a, index, spectral_norm(a))
+    if isinstance(events, EventLog):
+        edges, cases = events.edges, events.cases
+    else:
+        edges, cases = np.array([(e, c) for _t, e, c in events], dtype=np.int64).reshape(-1, 2).T
+    a = _composed(graph, rule, edges, cases, np.zeros(1, np.int64), np.array([len(edges)]))
+    matrix = a[: graph.view.n]
+    return EpochOperator(matrix, index, spectral_norm(matrix))
 
 
 def epoch_operators(trace: SimTrace, graph, rule: RuleDescriptor) -> list[EpochOperator]:
@@ -349,11 +350,69 @@ def epoch_operators(trace: SimTrace, graph, rule: RuleDescriptor) -> list[EpochO
     if trace.event_log is None or trace.epoch_event_idx is None:
         raise ValueError("trace has no event log; rerun with record_events")
     idx = trace.epoch_event_idx
+    log = trace.event_log
+    a = _composed(graph, rule, log.edges, log.cases, idx[:-1] + 1, np.diff(idx))
+    n = graph.view.n
     out = []
     for k in range(len(idx) - 1):
-        segment = trace.event_log[int(idx[k]) + 1 : int(idx[k + 1]) + 1]
-        out.append(epoch_operator(graph, rule, segment, index=k + 1))
+        matrix = a[k * n : (k + 1) * n]
+        out.append(EpochOperator(matrix, k + 1, spectral_norm(matrix)))
     return out
+
+
+_STEPS = 256  # lockstep steps whose row indices are built at once
+_NOOP = int(RuleCase.NOOP)
+
+
+def _composed(graph, rule: RuleDescriptor, edges: np.ndarray, cases: np.ndarray,
+              starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The maps of K epochs composed in lockstep: epoch k is the events
+    ``starts[k]`` .. ``starts[k] + lengths[k] - 1`` of (``edges``,
+    ``cases``), and rows k*n .. k*n + n - 1 of the returned (K*n + 2, n)
+    stack hold its matrix, followed by two scratch rows.
+
+    Step s applies event s of every epoch: one gather, update and scatter
+    of rows apply the rule's intra-block case to all epochs at once,
+    with an epoch that has ended, or whose event is a no-op, updating the
+    scratch rows instead; Python applies any other case (the firings) to
+    its epoch's rows.  Per epoch, each row sees the updates
+    :func:`rules.pair_update` gives in event order, so the bits are those
+    of composing one epoch at a time.
+    """
+    n, _, eu, ev, _ = graph.view
+    intra, _, _, _, alpha, gamma = compile_rule(graph, rule)
+    K = len(lengths)
+    a = np.zeros((K * n + 2, n))
+    a[: K * n] = np.tile(np.eye(n), (K, 1))
+    off = np.arange(0, K * n, n)
+    g = np.empty((2, K, n))
+    steps = int(lengths.max(initial=0))
+    for lo in range(0, steps, _STEPS):
+        s = np.arange(lo, min(lo + _STEPS, steps))[:, None]
+        live = s < lengths
+        at = np.where(live, starts + s, 0)
+        e = edges[at]
+        c = np.where(live, cases[at], _NOOP)
+        u = eu[e] + off
+        v = ev[e] + off
+        lock = c == intra
+        # per step, the rows of x_u and of x_v in every epoch
+        ix = np.stack((np.where(lock, u, K * n), np.where(lock, v, K * n + 1)), axis=1)
+        fs, fk = (live & ~lock & (c != _NOOP)).nonzero()
+        fixes = list(zip(fs.tolist(), u[fs, fk].tolist(), v[fs, fk].tolist(),
+                         c[fs, fk].tolist()))
+        fixes.append((len(s), 0, 0, 0))  # sentinel
+        f = 0
+        for i, rows in enumerate(ix):
+            a.take(rows, 0, g)
+            new = pair_update(intra, g[0], g[1], alpha, gamma)
+            # the mean is one array for both endpoints: the scatter broadcasts it
+            a[rows] = new[0] if new[0] is new[1] else new
+            while fixes[f][0] == i:
+                _, fu, fv, fc = fixes[f]
+                a[fu], a[fv] = pair_update(fc, a[fu], a[fv], alpha, gamma)
+                f += 1
+    return a
 
 
 def spectral_norm(matrix) -> float:

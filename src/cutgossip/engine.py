@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,12 +40,21 @@ RNG_ID = "numpy-PCG64/chunk4096"
 _CHUNK = 4096
 _FIRST_BLOCK = 64
 _PENDING = 1024  # sampled states held before their metrics are computed
+# A block with at least one sample point per _DENSE events is dense: its
+# sampled states are rebuilt in numpy from each event's writes, through an
+# index table of at most _TABLE entries at a time (128 KB, which stays in
+# cache and keeps a dense block's scratch memory near that of a metric
+# batch).  The crossover this follows is in BENCH_trace_sampling.json.
+_DENSE = 8
+_TABLE = 1 << 15
 # simulate_batch: runs advanced in lockstep, steps per block, and edges
 # drawn per call, at most; they bound its buffers
 _GROUP = 32
 _BLOCK = 256
 _DRAW = 1024
 _CASES = tuple(RuleCase)
+_VANILLA = int(RuleCase.VANILLA)
+_CONVEX = int(RuleCase.CONVEX)
 _NONCONVEX = int(RuleCase.NONCONVEX)
 _NOOP = int(RuleCase.NOOP)
 
@@ -71,7 +81,8 @@ class StateVector:
 class SimConfig:
     """Run parameters.  Stopping occurs at whichever criterion triggers first.
 
-    At least one of ``max_time`` and ``max_events`` is required.
+    At least one of ``max_time`` and ``max_events`` is required, and a
+    run without ``max_events`` needs a finite ``max_time``.
     ``stop_at_crossing`` also stops the run at its first crossing, the
     first event after which var(X)/var(X0) <= :data:`RATIO_THRESHOLD`;
     rules that never contract (e.g. the gamma="n1" scheme on equal
@@ -92,8 +103,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.max_time is None and self.max_events is None:
             raise ValueError("set max_time and/or max_events")
-        if self.max_time is not None and self.max_time < 0:
+        if self.max_time is not None and not self.max_time >= 0:
             raise ValueError("max_time must be nonnegative")
+        if self.max_events is None and self.max_time == math.inf:
+            raise ValueError("max_time must be finite when max_events is unset")
         if self.max_events is not None and self.max_events < 0:
             raise ValueError("max_events must be nonnegative")
         if self.sample_every < 1:
@@ -304,6 +317,76 @@ class _Detector:
             setattr(self, name, getattr(self, name)[rows])
 
 
+def _pair_updates(x: list, U, V, C, alpha: float, gamma: float, out: list,
+                  writes: bool = False, cuts=(), copies: list | None = None) -> None:
+    """Apply the events (U[i], V[i], C[i]) in order to the list ``x``, with
+    :func:`rules.pair_update` inlined on Python floats.
+
+    Appends to ``out`` each event's d = x_v - x_u before its update and,
+    with ``writes``, the new x_u and x_v after it; appends to ``copies`` a
+    copy of x just after each event index in ``cuts`` (sorted).
+    """
+    beta = 1.0 - alpha
+    push = out.append
+    lo = 0
+    for hi in (*[p + 1 for p in cuts], None):
+        for u, v, c in zip(U[lo:hi], V[lo:hi], C[lo:hi]):
+            xu = x[u]
+            xv = x[v]
+            d = xv - xu
+            if c == _VANILLA:
+                x[u] = x[v] = 0.5 * (xu + xv)
+            elif c == _CONVEX:
+                x[u] = alpha * xu + beta * xv
+                x[v] = alpha * xv + beta * xu
+            elif c:
+                tr = gamma * d
+                x[u] = xu + tr
+                x[v] = xv - tr
+            push(d)
+            if writes:
+                push(x[u])
+                push(x[v])
+        if hi is None:
+            return
+        copies.append(x[:])
+        lo = hi
+
+
+def _block_states(start: np.ndarray, U: np.ndarray, V: np.ndarray,
+                  writes: np.ndarray, points: np.ndarray):
+    """The states just after each event in ``points`` (sorted) of a block
+    that starts at ``start`` and whose event p sets x[U[p]], x[V[p]] to
+    ``writes[p]``; yields them as (k, n) arrays, a slab of events at a time.
+
+    Row r of the index table gives, per vertex, the position of its value
+    after the block's first r events in concat(start, writes): row 0 is
+    arange(n), event p writes n + 2p at U[p] and n + 2p + 1 at V[p], and a
+    running maximum down the rows carries the latest write forward.  A slab
+    holds about :data:`_TABLE` entries, so large graphs stay in memory.
+    """
+    n = len(start)
+    src = np.concatenate((start, writes.ravel()))
+    slab = max(1, _TABLE // n - 1)
+    last = np.arange(n, dtype=np.int32)
+    at = 0
+    end = int(points[-1]) + 1 if len(points) else 0  # through the last point
+    for lo in range(0, end, slab):
+        hi = min(lo + slab, end)
+        table = np.zeros((hi - lo + 1, n), dtype=np.int32)
+        table[0] = last
+        rows = np.arange(1, hi - lo + 1)
+        pos = np.arange(n + 2 * lo, n + 2 * hi, 2)
+        table[rows, U[lo:hi]] = pos
+        table[rows, V[lo:hi]] = pos + 1
+        np.maximum.accumulate(table, axis=0, out=table)
+        stop = int(points.searchsorted(hi))
+        if stop > at:
+            yield src.take(table[points[at:stop] + (1 - lo)])
+        at = stop
+        last = table[-1]
+
+
 def next_event(rng: np.random.Generator, edge_count: int) -> tuple[float, int]:
     """Draw one merged-clock event: waiting time Exp(edge_count) and a
     uniformly random edge index."""
@@ -355,13 +438,15 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     numpy gives the event times, the caps, endpoints, cases, firings,
     sample points and tick counters; a Python loop applies the pair
     updates in order; then the variance detector runs over the block.
+    The loop copies the values at each sample point, except in a dense
+    block (see :data:`_DENSE`), where it logs each event's writes and
+    numpy rebuilds the sampled states from them after the loop.
     """
     n, n1, eu, ev, kind = graph.view
     x, ss = _start(graph, x0)
     initial_sum = math.fsum(x)
     m = len(eu)
     intra, cross, period, phase, alpha, gamma = compile_rule(graph, rule)
-    beta = 1.0 - alpha
     kind_case = np.array([intra, intra, cross, cross], dtype=np.int8)  # per KIND_*
 
     rng = np.random.default_rng(np.random.PCG64(config.seed))
@@ -370,15 +455,13 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     # without variance the ratio is undefined and there is no detector
     det = _Detector(ss, 1, alpha, gamma, config.stop_at_crossing) if ss > 0.0 else None
 
-    s_times: list[float] = []
-    s_var: list[float] = []
-    s_mu1: list[float] = []
-    s_mu2: list[float] = []
-    s_sigma: list[float] = []
-    s_nu: list[int] = []
-    s_k: list[int] = []
+    # the trace's sample columns, as arrays of consecutive samples
+    s_times: list[np.ndarray] = []
+    s_nu: list[np.ndarray] = []
+    s_k: list[np.ndarray] = []
+    s_metrics: list[np.ndarray] = []  # (4, k): mu1, mu2, sigma, var
     s_states: list[np.ndarray] = []
-    columns = (s_times, s_var, s_mu1, s_mu2, s_sigma, s_nu, s_k, s_states)
+    n_samples = 0
     marks: list[np.ndarray] = []
     mark_sidx: list[np.ndarray] = []
     mark_eidx: list[np.ndarray] = []
@@ -390,67 +473,46 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     events = 0
     t = 0.0
 
-    # States at sample points whose metrics are not yet computed, measured
-    # in one batch on reaching _PENDING and at the end of the run.
-    pending: list[list[float]] = []
+    # States at sample points whose metrics are not yet computed, in
+    # sample order: the (k, n) arrays in ``pending``, then the copies of x
+    # in ``rows``.  They are measured in one batch once _PENDING rows are
+    # waiting after a block or slab, and at the end of the run.
+    rows: list[list[float]] = []
+    pending: list[np.ndarray] = []
+    n_pending = 0  # rows in ``pending``
 
     def measure() -> None:
-        states = np.array(pending)
+        nonlocal n_pending
+        if rows:
+            pending.append(np.array(rows))
+            rows.clear()
+        states = np.concatenate(pending) if len(pending) > 1 else pending[0]
         pending.clear()
-        mu1, mu2, sg, vr = _side_metrics(states, n1).tolist()
-        s_mu1.extend(mu1)
-        s_mu2.extend(mu2)
-        s_sigma.extend(sg)
-        s_var.extend(vr)
+        n_pending = 0
+        s_metrics.append(_side_metrics(states, n1))
         if config.record_states:
-            s_states.extend(states)
+            s_states.append(states)
 
-    def take_sample(t: float, nu12: int, k_cut: int) -> None:
-        pending.append(x[:])
-        s_times.append(t)
-        s_nu.append(nu12)
-        s_k.append(k_cut)
-        if len(pending) == _PENDING:
+    def add_states(states: np.ndarray) -> None:
+        nonlocal n_pending
+        if rows:
+            pending.append(np.array(rows))
+            n_pending += len(rows)
+            rows.clear()
+        pending.append(states)
+        n_pending += len(states)
+        if n_pending >= _PENDING:
             measure()
 
+    def take_sample(t: float, nu12: int, k_cut: int) -> None:
+        nonlocal n_samples
+        rows.append(x[:])
+        s_times.append(np.array([t]))
+        s_nu.append(np.array([nu12]))
+        s_k.append(np.array([k_cut]))
+        n_samples += 1
+
     take_sample(t, 0, 0)
-
-    VANILLA = int(RuleCase.VANILLA)
-    CONVEX = int(RuleCase.CONVEX)
-
-    def apply_events(U, V, C, end, pts, p_t, p_nu, p_k) -> list[float]:
-        """Per event, in Python: the first ``end`` pair updates of a block,
-        in order, with a sample (time ``p_t``, counters ``p_nu``, ``p_k``)
-        just after each event listed in ``pts``, whose last entry is a
-        sentinel past the block; returns each event's d = x_v - x_u before
-        its update."""
-        ds: list[float] = []
-        push = ds.append
-        i = ip = 0
-        while i < end:
-            j = min(pts[ip] + 1, end)  # through the next sample point
-            # inlined rules.pair_update (test_replay_reproduces_final_state_bitwise)
-            for u, v, c in zip(U[i:j], V[i:j], C[i:j]):
-                xu = x[u]
-                xv = x[v]
-                d = xv - xu
-                if c == VANILLA:
-                    h = 0.5 * (xu + xv)
-                    x[u] = h
-                    x[v] = h
-                elif c == CONVEX:
-                    x[u] = alpha * xu + beta * xv
-                    x[v] = alpha * xv + beta * xu
-                elif c:
-                    tr = gamma * d
-                    x[u] = xu + tr
-                    x[v] = xv - tr
-                push(d)
-            if pts[ip] < j:
-                take_sample(p_t[ip], p_nu[ip], p_k[ip])
-                ip += 1
-            i = j
-        return ds
 
     max_time = config.max_time
     max_events = config.max_events
@@ -496,44 +558,61 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
                 sampled[points] = True
                 sampled[fired] = True
                 points = sampled.nonzero()[0]
-            # t, nu12 and k_cut at each sample point
-            p_t = times[points].tolist()
-            p_nu = ((kinds >= KIND_CROSS).nonzero()[0].searchsorted(points, side="right")
-                    + (ticks[KIND_CROSS] + ticks[KIND_CUT])).tolist()
-            p_k = (cut_at.searchsorted(points, side="right") + ticks[KIND_CUT]).tolist()
-            pts = points.tolist()
-            pts.append(end)  # sentinel
-            U = eu[e].tolist()
-            V = ev[e].tolist()
+            Ue = eu[e]
+            Ve = ev[e]
+            U = Ue.tolist()
+            V = Ve.tolist()
             C = cases.tolist()
-            n_rows = len(s_times)
-            # a run that stops at its first crossing may pass it within the
-            # block; it then replays the block from here up to the crossing
-            snapshot = (x.copy() if config.stop_at_crossing and det is not None
-                        and math.isnan(det.first[0]) else None)
-            ds = apply_events(U, V, C, end, pts, p_t, p_nu, p_k)
+            dense = 0 < end <= _DENSE * len(points)
+            if dense:
+                # no samples mid-loop: the loop logs each event's writes,
+                # from which numpy rebuilds the sampled states below
+                start = np.array(x)
+                flat: list[float] = []
+                _pair_updates(x, U, V, C, alpha, gamma, flat, writes=True)
+                logged = np.fromiter(flat, np.float64, 3 * end).reshape(end, 3)  # d, x_u, x_v
+                d = logged[:, :1].copy()
+            else:
+                # a run that stops at its first crossing may pass it within
+                # the block; it then goes back to the block's start
+                start = (np.array(x) if config.stop_at_crossing and det is not None
+                         and math.isnan(det.first[0]) else None)
+                ds: list[float] = []
+                _pair_updates(x, U, V, C, alpha, gamma, ds, cuts=points.tolist(), copies=rows)
+                d = np.fromiter(ds, np.float64, end)[:, None]
             if det is not None and end:
                 # per block, in numpy: the variance detector
-                d = np.fromiter(ds, np.float64, end)[:, None]
                 j = int(det.block(d, cases[:, None], times[:end, None])[0])
-                if j >= 0 and snapshot is not None:
+                if j >= 0 and config.stop_at_crossing:
                     stop, timed_out = True, False
                     if j + 1 < end:
                         end = j + 1
-                        x[:] = snapshot
-                        for col in columns:
-                            del col[n_rows:]
-                        # keep the copies of unmeasured rows before n_rows
-                        del pending[n_rows - len(s_var):]
-                        apply_events(U, V, C, end, pts, p_t, p_nu, p_k)
+                        x[:] = start.tolist()
+                        _pair_updates(x, U[:end], V[:end], C[:end], alpha, gamma, [])
+            k = int(points.searchsorted(end))  # sample points up to the stop
+            if dense:
+                for states in _block_states(start, Ue, Ve, logged[:, 1:], points[:k]):
+                    add_states(states)
+            else:
+                del rows[len(rows) - len(points) + k:]
+                if len(rows) + n_pending >= _PENDING:
+                    measure()
+            if k:
+                # t, nu12 and k_cut at each sample point
+                kept = points[:k]
+                s_times.append(times[kept])
+                s_nu.append((kinds >= KIND_CROSS).nonzero()[0].searchsorted(kept, side="right")
+                            + (ticks[KIND_CROSS] + ticks[KIND_CUT]))
+                s_k.append(cut_at.searchsorted(kept, side="right") + ticks[KIND_CUT])
             # counters, epoch marks and the event log
             counts = np.bincount(kinds[:end], minlength=4).tolist()
             ticks = [a + b for a, b in zip(ticks, counts)]
             f = fired[: fired.searchsorted(end)]
             if f.size:
                 marks.append(times[f])
-                mark_sidx.append(points.searchsorted(f) + n_rows)
+                mark_sidx.append(points.searchsorted(f) + n_samples)
                 mark_eidx.append(f + events)
+            n_samples += k
             if config.record_events:
                 # copies: views would keep every chunk's draws alive
                 log_t.append(times[:end].copy())
@@ -546,10 +625,11 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
                 t = max_time
 
     e1, e2, n_cross, n_cut = ticks
-    if s_times[-1] != t:
+    if s_times[-1][-1] != t:
         take_sample(t, n_cross + n_cut, n_cut)
-    if pending:
+    if rows or pending:
         measure()
+    metrics = np.concatenate(s_metrics, axis=1)
 
     final = StateVector(np.array(x), t, initial_sum)
     first_crossing = last_exc = None
@@ -569,13 +649,13 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
         "ratio_threshold": RATIO_THRESHOLD,
     }
     return SimTrace(
-        times=np.array(s_times),
-        var=np.array(s_var),
-        mu1=np.array(s_mu1),
-        mu2=np.array(s_mu2),
-        sigma=np.array(s_sigma),
-        nu12=np.array(s_nu, dtype=np.int64),
-        k_cut=np.array(s_k, dtype=np.int64),
+        times=np.concatenate(s_times),
+        var=metrics[3],
+        mu1=metrics[0],
+        mu2=metrics[1],
+        sigma=metrics[2],
+        nu12=np.concatenate(s_nu).astype(np.int64, copy=False),
+        k_cut=np.concatenate(s_k).astype(np.int64, copy=False),
         epoch_marks=_joined(marks, np.float64),
         epoch_sample_idx=_joined(mark_sidx, np.int64),
         epoch_event_idx=_joined(mark_eidx, np.int64) if config.record_events else None,
@@ -592,7 +672,7 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
         )
         if config.record_events
         else None,
-        states=np.array(s_states) if config.record_states else None,
+        states=np.concatenate(s_states) if config.record_states else None,
         final=final,
         first_crossing=first_crossing,
         last_exceedance=last_exc,
@@ -624,6 +704,8 @@ def simulate_batch(
         raise ValueError("x0 has zero variance; the ratio is undefined")
     if not max_time >= 0:
         raise ValueError("max_time must be nonnegative")
+    if max_time == math.inf:
+        raise ValueError("max_time must be finite")
     seeds = list(seeds)
     first = np.full(len(seeds), np.nan)
     last = np.full(len(seeds), np.nan)
@@ -773,24 +855,23 @@ def replay_states(
 
     Index -1 selects the initial state.
     """
-    # per-event lookups are fastest in lists of the graph's Python ints
-    eu, ev = graph.view.eu.tolist(), graph.view.ev.tolist()
+    wants = sorted(at_indices)
+    if wants and not (-1 <= wants[0] and wants[-1] < len(event_log)):
+        raise IndexError("event index beyond the recorded log")
     rc = compile_rule(graph, rule)
-    edges = event_log.edges.tolist()
-    cases = event_log.cases.tolist()
-    values = np.asarray(x0, dtype=float).copy()
-    out = []
-    i = -1
-    for want in sorted(at_indices):
-        if not -1 <= want < len(edges):
-            raise IndexError("event index beyond the recorded log")
-        while i < want:
-            i += 1
-            u, v = eu[edges[i]], ev[edges[i]]
-            values[u], values[v] = pair_update(
-                cases[i], values[u], values[v], rc.alpha, rc.gamma
-            )
-        out.append(values.copy())
+    eu, ev = graph.view.eu, graph.view.ev
+    x = np.asarray(x0, dtype=float).tolist()
+    out: list[list[float]] = []
+    ds: list[float] = []  # each event's d, unused here
+    last = wants[-1] + 1 if wants else 0  # events to apply
+    # a chunk of events at a time, so the per-event lists stay small
+    for lo in range(0, max(last, 1), _CHUNK):
+        hi = min(lo + _CHUNK, last)
+        e = event_log.edges[lo:hi]
+        cuts = wants[bisect_left(wants, lo if lo else -1) : bisect_left(wants, hi)]
+        _pair_updates(x, eu[e].tolist(), ev[e].tolist(), event_log.cases[lo:hi].tolist(),
+                      rc.alpha, rc.gamma, ds, cuts=[w - lo for w in cuts], copies=out)
+        ds.clear()
     return np.array(out)
 
 

@@ -386,3 +386,69 @@ def test_sweep_csv_roundtrip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].split(",")[:3] == ["n", "n1", "n2"]
     assert len([l for l in lines if l.startswith("#")]) == len(table.comments)
+
+
+def test_estimator_rejects_infinite_horizon():
+    g = build_barbell(2, 2)
+    with pytest.raises(ValueError, match="finite"):
+        estimate_T_av(g, RuleDescriptor("algA", period=3), runs=30, horizon=math.inf)
+
+
+def _oracle(graph, rule, edges, cases):
+    """One epoch composed alone, one pair_update of matrix rows per event."""
+    from cutgossip.rules import compile_rule, pair_update
+
+    rc = compile_rule(graph, rule)
+    a = np.eye(graph.n)
+    for e, case in zip(edges.tolist(), cases.tolist()):
+        u, v = graph.view.eu[e], graph.view.ev[e]
+        a[u], a[v] = pair_update(case, a[u], a[v], rc.alpha, rc.gamma)
+    return a
+
+
+@pytest.mark.parametrize("rule", [
+    RuleDescriptor("algA", period=2),
+    RuleDescriptor("algA", period=5, gamma_mode="n1"),
+])
+def test_epoch_operators_match_one_epoch_at_a_time(rule):
+    # uneven epoch lengths, so the lockstep pads the shorter epochs
+    g = build_barbell(3, 5)
+    trace = simulate(g, rule, worst_cut_x0(g),
+                     SimConfig(seed=8, max_events=3000, record_events=True,
+                               sample_every=1 << 62))
+    ops = epoch_operators(trace, g, rule)
+    idx = trace.epoch_event_idx.tolist()
+    segs = [trace.event_log[i + 1 : j + 1] for i, j in zip(idx, idx[1:])]
+    assert len(ops) == len(segs) > 2
+    for op, seg in zip(ops, segs):
+        a = _oracle(g, rule, seg.edges, seg.cases)
+        assert op.matrix.tobytes() == a.tobytes()
+        assert op.spectral_norm == spectral_norm(a)
+    want = _oracle(g, rule, segs[0].edges, segs[0].cases).tobytes()
+    assert epoch_operator(g, rule, segs[0]).matrix.tobytes() == want
+    assert epoch_operator(g, rule, list(segs[0])).matrix.tobytes() == want
+
+
+def test_epoch_operator_convex_matches_one_event_at_a_time():
+    g = build_barbell(3, 5)
+    rule = RuleDescriptor("convex", alpha=0.3)
+    log = simulate(g, rule, worst_cut_x0(g),
+                   SimConfig(seed=8, max_events=500, record_events=True)).event_log
+    want = _oracle(g, rule, log.edges, log.cases)
+    assert epoch_operator(g, rule, log).matrix.tobytes() == want.tobytes()
+
+
+PIN_OPERATORS = "b52fc82a254bbc697a89554bfa31a8437e21ee7b7d0e3a8896050b199041c21c"
+
+
+def test_epoch_operators_pin():
+    # recorded with the one-epoch-at-a-time composition on the run of
+    # test_engine.pinned_trace
+    from test_engine import pinned_trace, sha256_of
+
+    g, rule, _, tr = pinned_trace()
+    ops = epoch_operators(tr, g, rule)
+    assert len(ops) == 25
+    assert sha256_of([op.matrix for op in ops],
+                     repr([(op.index, op.spectral_norm) for op in ops]).encode()
+                     ) == PIN_OPERATORS

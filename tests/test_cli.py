@@ -264,3 +264,15 @@ def test_check_dominance_warns_at_the_run_cap(capsys):
 def test_check_dominance_rejects_convex_rule(capsys):
     code, _, err = run_cli(capsys, "check", "dominance", "--rule", "vanilla")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--graph", "barbell:2,2", "--rule", "algA:P=3", "--horizon", "inf",
+     "--runs", "30", "--seed", "1"],
+    ["simulate", "--graph", "barbell:2,2", "--rule", "algA:P=3", "--max-time", "inf"],
+])
+def test_infinite_caps_exit_2(capsys, argv):
+    # an algA run under an infinite cap would never stop
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "finite" in err

@@ -641,3 +641,65 @@ def test_simulate_golden_across_blocks(key):
     assert (tr.first_crossing, tr.last_exceedance, tr.tick_totals) == (
         first, last, ticks)
     assert _golden_digest(g, rule, x0) == digest
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity pins for the sampling path, recorded with the per-sample
+# loop that copied x at every sample point: a 50,000-event run sampled at
+# every event, so almost every block takes the dense path.
+# ---------------------------------------------------------------------------
+
+PIN_TRACE = "bd95c28ba062add1c2cc3e2983d57002e7b7b4fb344c116f7a57bbbc32099e5a"
+PIN_REPLAY = "24fd601711df6975fdf828d63e1d72d365212018a7b6b7bddd77f13265ecde23"
+
+
+def pinned_trace():
+    """barbell(16,16), algA P=8, worst-cut start, seed 3, 50,000 events
+    sampled every event with the event log and the states."""
+    from cutgossip.rules import parse_rule
+
+    g = build_barbell(16, 16)
+    rule = parse_rule("algA:P=8,gamma=balanced,C=4")
+    x0 = worst_cut_x0(g)
+    tr = simulate(g, rule, x0, SimConfig(seed=3, max_events=50_000, sample_every=1,
+                                         record_events=True, record_states=True))
+    return g, rule, x0, tr
+
+
+def sha256_of(arrays, extra=b""):
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(b"|")
+    h.update(extra)
+    return h.hexdigest()
+
+
+def test_sampled_trace_and_replay_pins():
+    g, rule, x0, tr = pinned_trace()
+    assert sha256_of(
+        (tr.times, tr.var, tr.mu1, tr.mu2, tr.sigma, tr.nu12, tr.k_cut, tr.states,
+         tr.epoch_marks, tr.epoch_sample_idx, tr.epoch_event_idx, tr.final.values),
+        repr((tr.final.time, tr.first_crossing, tr.last_exceedance,
+              sorted(tr.tick_totals.items()))).encode(),
+    ) == PIN_TRACE
+    states = replay_states(g, rule, x0, tr.event_log, tr.epoch_event_idx.tolist())
+    assert sha256_of([states]) == PIN_REPLAY
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(max_time=math.inf),
+    dict(max_time=math.nan, max_events=10),
+])
+def test_config_rejects_unbounded_time_cap(cfg):
+    with pytest.raises(ValueError, match="max_time"):
+        SimConfig(seed=1, **cfg)
+    # with an event cap an infinite time cap is no cap
+    assert SimConfig(seed=1, max_time=math.inf, max_events=10).max_time == math.inf
+
+
+def test_batch_rejects_infinite_time_cap():
+    g = build_barbell(2, 2)
+    with pytest.raises(ValueError, match="finite"):
+        simulate_batch(g, RuleDescriptor("algA", period=3), worst_cut_x0(g),
+                       [1, 2], math.inf)

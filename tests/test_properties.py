@@ -194,3 +194,32 @@ def test_batch_kernel_equals_per_run_simulate(case, runs, seed, horizon, edge):
                       for tr in traces]
         assert first.tobytes() == np.array(want_first).tobytes()
         assert last.tobytes() == np.array([tr.last_exceedance for tr in traces]).tobytes()
+
+
+@PROPERTY
+@given(st.one_of(cases(), barbell_cases()), st.integers(0, 2**32), st.integers(1, LONG),
+       # also measure in batches of 3 states, and rebuild sampled states
+       # from index tables of a few rows at a time
+       st.sampled_from([None, 3]), st.sampled_from([None, 64]))
+def test_sampled_states_equal_replayed_states(case, seed, events, pending, table):
+    # strides of 8 and less take the dense path, 13 the per-sample one
+    g, x0, name = case
+    rule = RULES[name]
+    for every in (1, 2, 3, 5, 8, 13):
+        for stop in (False, True):
+            with mock.patch.object(engine, "_PENDING", pending or engine._PENDING), \
+                    mock.patch.object(engine, "_TABLE", table or engine._TABLE):
+                tr = simulate(g, rule, x0, SimConfig(
+                    seed=seed, max_events=events, sample_every=every,
+                    stop_at_crossing=stop, record_events=True, record_states=True))
+            # the event each sample follows: the last one at or before its time
+            at = np.searchsorted(tr.event_log.times, tr.times, side="right") - 1
+            # the start, every every-th event, every firing and the last event
+            last = tr.n_events - 1
+            assert at.tolist() == sorted({-1, last, *range(every - 1, last, every),
+                                          *tr.epoch_event_idx.tolist()})
+            states = replay_states(g, rule, x0, tr.event_log, at.tolist())
+            assert tr.states.tobytes() == states.tobytes()
+            metrics = engine._side_metrics(states, g.view.n1)
+            for got, want in zip((tr.mu1, tr.mu2, tr.sigma, tr.var), metrics):
+                assert got.tobytes() == want.tobytes()
