@@ -15,6 +15,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -47,6 +48,9 @@ _PENDING = 1024  # sampled states held before their metrics are computed
 # batch).  The crossover this follows is in BENCH_trace_sampling.json.
 _DENSE = 8
 _TABLE = 1 << 15
+# events between idle checks of a side that still moves (see _pair_updates)
+_CHECK = 128
+_HUGE = 2.0**1023
 # simulate_batch: runs advanced in lockstep, steps per block, and edges
 # drawn per call, at most; they bound its buffers
 _GROUP = 32
@@ -57,6 +61,15 @@ _VANILLA = int(RuleCase.VANILLA)
 _CONVEX = int(RuleCase.CONVEX)
 _NONCONVEX = int(RuleCase.NONCONVEX)
 _NOOP = int(RuleCase.NOOP)
+# what _pair_updates makes of an event, per edge kind (rows) and case
+# (NOOP, VANILLA, CONVEX, NONCONVEX): the side of an intra-side vanilla
+# event, 3 for an update across the cut, 2 for any other event
+_CODES = np.array([
+    [2, 0, 2, 2],  # KIND_E1: a vanilla event is on side 0
+    [2, 1, 2, 2],  # KIND_E2: a vanilla event is on side 1
+    [2, 3, 3, 3],  # KIND_CROSS: any case but a no-op updates across the cut
+    [2, 3, 3, 3],  # KIND_CUT
+])
 
 # The averaging time uses epsilon = 1/e: a run has settled once
 # var X(t) / var X(0) <= epsilon^2 = e^-2.
@@ -74,7 +87,7 @@ class StateVector:
     @classmethod
     def from_values(cls, values, time: float = 0.0) -> "StateVector":
         arr = np.asarray(values, dtype=float).copy()
-        return cls(arr, time, float(math.fsum(arr.tolist())))
+        return cls(arr, time, _fsum(arr.tolist()))
 
 
 @dataclass(frozen=True)
@@ -205,16 +218,26 @@ def _side_metrics(states: np.ndarray, n1: int) -> np.ndarray:
     return out
 
 
+def _fsum(values) -> float:
+    """math.fsum, whose intermediate overflow becomes the ValueError of a
+    start vector too large to measure."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise ValueError("var(x0) overflows a float; rescale x0") from None
+
+
 def sum_sq_dev(x: list[float]) -> float:
     """S = sum((x - mean)^2) of a start vector, the variance detector's
-    reference, summed exactly; ValueError if an entry or S is not finite."""
+    reference, summed exactly; ValueError if an entry, their sum or S is
+    not finite."""
     if not x:
         raise ValueError("x0 is empty")
     bad = next((i for i, v in enumerate(x) if not math.isfinite(v)), None)
     if bad is not None:
         raise ValueError(f"x0[{bad}] = {x[bad]!r} is not finite")
-    mean = math.fsum(x) / len(x)
-    s = math.fsum((v - mean) * (v - mean) for v in x)
+    mean = _fsum(x) / len(x)
+    s = _fsum((v - mean) * (v - mean) for v in x)
     if not math.isfinite(s):
         raise ValueError("var(x0) overflows a float; rescale x0")
     return s
@@ -317,20 +340,76 @@ class _Detector:
             setattr(self, name, getattr(self, name)[rows])
 
 
+def _idle(x: list, lo: int, hi: int) -> bool:
+    """Whether the side x[lo:hi] is at a consensus that a vanilla update
+    keeps bit for bit: its values are bitwise equal (so 0.0 and -0.0
+    differ), finite and below 2^1023 in size, so that a + a is exact and
+    0.5 * (a + a) is a again."""
+    a = x[lo]
+    if not -_HUGE < a < _HUGE or x[hi - 1] != a:
+        return False
+    side = x[lo:hi]
+    return side.count(a) == hi - lo and (
+        a != 0.0 or len({math.copysign(1.0, v) for v in side}) == 1)
+
+
 def _pair_updates(x: list, U, V, C, alpha: float, gamma: float, out: list,
-                  writes: bool = False, cuts=(), copies: list | None = None) -> None:
+                  writes: bool = False, cuts=(), copies: list | None = None,
+                  skip: tuple | None = None, n1: int = 0) -> np.ndarray | None:
     """Apply the events (U[i], V[i], C[i]) in order to the list ``x``, with
     :func:`rules.pair_update` inlined on Python floats.
 
-    Appends to ``out`` each event's d = x_v - x_u before its update and,
-    with ``writes``, the new x_u and x_v after it; appends to ``copies`` a
-    copy of x just after each event index in ``cuts`` (sorted).
+    Appends to ``out`` each applied event's d = x_v - x_u before its update
+    and, with ``writes``, the new x_u and x_v after it; appends to
+    ``copies`` a copy of x just after each event index in ``cuts`` (sorted,
+    -1 for the start).
+
+    With ``skip``, the events' edge kinds and case codes as two arrays,
+    and the first side's size ``n1``, the intra-side vanilla events of an
+    idle side (see :func:`_idle`) are not applied until the next update
+    across the cut (a cross event whose case is not a no-op).
+    Each such event would give d = 0 and leave x as it is bit for bit, so
+    it changes neither x nor the variance detector's S.  A side that still
+    moves is checked again every :data:`_CHECK` events.  Returns the
+    positions of the events applied, or None when that is all of them.
     """
     beta = 1.0 - alpha
     push = out.append
-    lo = 0
-    for hi in (*[p + 1 for p in cuts], None):
-        for u, v, c in zip(U[lo:hi], V[lo:hi], C[lo:hi]):
+    end = len(U)
+    n = len(x)
+    stops = [p + 1 for p in cuts]
+    events = zip(U, V, C)
+    codes = None  # per event, from _CODES, once a side is idle
+    spans = []  # (lo, hi, idle sides) of the stretches run with an idle side
+    pos = k = 0
+    while pos < end or k < len(stops):
+        hi = stops[k] if k < len(stops) else end
+        idle = 0  # bit s set: side s is idle
+        if skip is not None and pos < end:
+            # comparing a side's end values first keeps the check cheap
+            # while the side still moves
+            if x[n1 - 1] == x[0] and _idle(x, 0, n1):
+                idle = 1
+            if n1 < n and x[-1] == x[n1] and _idle(x, n1, n):
+                idle |= 2
+            if idle != 3 and pos + _CHECK < hi:
+                hi = pos + _CHECK
+            if idle:
+                if codes is None:
+                    kinds, cases = skip
+                    codes = _CODES.take(kinds * 4 + cases)
+                    updates = (codes == 3).nonzero()[0].tolist()
+                i = bisect_left(updates, pos)
+                if i < len(updates) and updates[i] < hi:
+                    hi = updates[i] + 1
+        if idle:
+            at = (((idle >> codes[pos:hi]) & 1 == 0).nonzero()[0] + pos).tolist()
+            todo = zip(map(U.__getitem__, at), map(V.__getitem__, at), map(C.__getitem__, at))
+            spans.append((pos, hi, idle))
+            events = zip(islice(U, hi, None), islice(V, hi, None), islice(C, hi, None))
+        else:
+            todo = islice(events, hi - pos)
+        for u, v, c in todo:
             xu = x[u]
             xv = x[v]
             d = xv - xu
@@ -347,17 +426,24 @@ def _pair_updates(x: list, U, V, C, alpha: float, gamma: float, out: list,
             if writes:
                 push(x[u])
                 push(x[v])
-        if hi is None:
-            return
-        copies.append(x[:])
-        lo = hi
+        pos = hi
+        while k < len(stops) and stops[k] == pos:
+            copies.append(x[:])
+            k += 1
+    if not spans:
+        return None
+    idle_at = np.zeros(end, dtype=codes.dtype)
+    for lo, hi, idle in spans:
+        idle_at[lo:hi] = idle
+    return ((idle_at >> codes) & 1 == 0).nonzero()[0]
 
 
 def _block_states(start: np.ndarray, U: np.ndarray, V: np.ndarray,
                   writes: np.ndarray, points: np.ndarray):
-    """The states just after each event in ``points`` (sorted) of a block
-    that starts at ``start`` and whose event p sets x[U[p]], x[V[p]] to
-    ``writes[p]``; yields them as (k, n) arrays, a slab of events at a time.
+    """The states just after each event in ``points`` (sorted, -1 for the
+    start) of a block that starts at ``start`` and whose event p sets
+    x[U[p]], x[V[p]] to ``writes[p]``; yields them as (k, n) arrays, a slab
+    of events at a time.
 
     Row r of the index table gives, per vertex, the position of its value
     after the block's first r events in concat(start, writes): row 0 is
@@ -365,13 +451,15 @@ def _block_states(start: np.ndarray, U: np.ndarray, V: np.ndarray,
     running maximum down the rows carries the latest write forward.  A slab
     holds about :data:`_TABLE` entries, so large graphs stay in memory.
     """
+    if not len(points):
+        return
     n = len(start)
     src = np.concatenate((start, writes.ravel()))
     slab = max(1, _TABLE // n - 1)
     last = np.arange(n, dtype=np.int32)
     at = 0
-    end = int(points[-1]) + 1 if len(points) else 0  # through the last point
-    for lo in range(0, end, slab):
+    end = int(points[-1]) + 1  # through the last point
+    for lo in range(0, max(end, 1), slab):
         hi = min(lo + slab, end)
         table = np.zeros((hi - lo + 1, n), dtype=np.int32)
         table[0] = last
@@ -440,11 +528,14 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     updates in order; then the variance detector runs over the block.
     The loop copies the values at each sample point, except in a dense
     block (see :data:`_DENSE`), where it logs each event's writes and
-    numpy rebuilds the sampled states from them after the loop.
+    numpy rebuilds the sampled states from them after the loop.  Under a
+    rule whose intra-side case is vanilla, the loop skips the events of a
+    side at exact consensus, which change nothing (see
+    :func:`_pair_updates`), and the detector sees only the others.
     """
     n, n1, eu, ev, kind = graph.view
     x, ss = _start(graph, x0)
-    initial_sum = math.fsum(x)
+    initial_sum = _fsum(x)
     m = len(eu)
     intra, cross, period, phase, alpha, gamma = compile_rule(graph, rule)
     kind_case = np.array([intra, intra, cross, cross], dtype=np.int8)  # per KIND_*
@@ -563,14 +654,18 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
             U = Ue.tolist()
             V = Ve.tolist()
             C = cases.tolist()
+            # the loop applies only the events that can change x (``live``,
+            # None for all of them); the detector sees only those
+            skip = (kinds, cases) if intra == _VANILLA else None
             dense = 0 < end <= _DENSE * len(points)
             if dense:
                 # no samples mid-loop: the loop logs each event's writes,
                 # from which numpy rebuilds the sampled states below
                 start = np.array(x)
                 flat: list[float] = []
-                _pair_updates(x, U, V, C, alpha, gamma, flat, writes=True)
-                logged = np.fromiter(flat, np.float64, 3 * end).reshape(end, 3)  # d, x_u, x_v
+                live = _pair_updates(x, U, V, C, alpha, gamma, flat, writes=True,
+                                     skip=skip, n1=n1)
+                logged = np.fromiter(flat, np.float64, len(flat)).reshape(-1, 3)  # d, x_u, x_v
                 d = logged[:, :1].copy()
             else:
                 # a run that stops at its first crossing may pass it within
@@ -578,20 +673,30 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
                 start = (np.array(x) if config.stop_at_crossing and det is not None
                          and math.isnan(det.first[0]) else None)
                 ds: list[float] = []
-                _pair_updates(x, U, V, C, alpha, gamma, ds, cuts=points.tolist(), copies=rows)
-                d = np.fromiter(ds, np.float64, end)[:, None]
-            if det is not None and end:
+                live = _pair_updates(x, U, V, C, alpha, gamma, ds, cuts=points.tolist(),
+                                     copies=rows, skip=skip, n1=n1)
+                d = np.fromiter(ds, np.float64, len(ds))[:, None]
+            if det is not None and len(d):
                 # per block, in numpy: the variance detector
-                j = int(det.block(d, cases[:, None], times[:end, None])[0])
+                at = slice(end) if live is None else live
+                j = int(det.block(d, cases[at, None], times[at, None])[0])
                 if j >= 0 and config.stop_at_crossing:
                     stop, timed_out = True, False
+                    if live is not None:
+                        j = int(live[j])
                     if j + 1 < end:
                         end = j + 1
                         x[:] = start.tolist()
                         _pair_updates(x, U[:end], V[:end], C[:end], alpha, gamma, [])
             k = int(points.searchsorted(end))  # sample points up to the stop
             if dense:
-                for states in _block_states(start, Ue, Ve, logged[:, 1:], points[:k]):
+                last_at = points[:k]
+                if live is not None:
+                    # a point's state is the one after the last event
+                    # applied at or before it
+                    last_at = live.searchsorted(last_at, side="right") - 1
+                    Ue, Ve = Ue[live], Ve[live]
+                for states in _block_states(start, Ue, Ve, logged[:, 1:], last_at):
                     add_states(states)
             else:
                 del rows[len(rows) - len(points) + k:]
@@ -859,7 +964,7 @@ def replay_states(
     if wants and not (-1 <= wants[0] and wants[-1] < len(event_log)):
         raise IndexError("event index beyond the recorded log")
     rc = compile_rule(graph, rule)
-    eu, ev = graph.view.eu, graph.view.ev
+    _, n1, eu, ev, kind = graph.view
     x = np.asarray(x0, dtype=float).tolist()
     out: list[list[float]] = []
     ds: list[float] = []  # each event's d, unused here
@@ -868,9 +973,11 @@ def replay_states(
     for lo in range(0, max(last, 1), _CHUNK):
         hi = min(lo + _CHUNK, last)
         e = event_log.edges[lo:hi]
+        cases = event_log.cases[lo:hi]
         cuts = wants[bisect_left(wants, lo if lo else -1) : bisect_left(wants, hi)]
-        _pair_updates(x, eu[e].tolist(), ev[e].tolist(), event_log.cases[lo:hi].tolist(),
-                      rc.alpha, rc.gamma, ds, cuts=[w - lo for w in cuts], copies=out)
+        _pair_updates(x, eu[e].tolist(), ev[e].tolist(), cases.tolist(), rc.alpha, rc.gamma,
+                      ds, cuts=[w - lo for w in cuts], copies=out,
+                      skip=(kind[e], cases) if rc.intra == _VANILLA else None, n1=n1)
         ds.clear()
     return np.array(out)
 
@@ -889,13 +996,30 @@ def _row_chunks(trace: SimTrace, cells, row: str):
     """The sample rows as text, ``_ROWS`` rows per chunk, formatted a
     column at a time: ``cells`` maps a column slice, as a list of Python
     floats or ints, to its cell strings, and ``row`` is a %-template
-    taking one row's cells."""
+    taking one row's cells.
+
+    The cells after ``t`` are formatted once per run of rows that are
+    bitwise equal in those columns (as where a run sits at consensus
+    between firings), and that text is joined to each row's ``t`` cell.
+    """
+    head, tail = row.split("%s", 1)
+    times = np.asarray(trace.times, float)
     cols = [np.asarray(col, dtype) for col, dtype in zip(
-        (trace.times, trace.var, trace.mu1, trace.mu2, trace.sigma,
-         trace.nu12, trace.k_cut), (float,) * 5 + (int,) * 2)]
+        (trace.var, trace.mu1, trace.mu2, trace.sigma, trace.nu12, trace.k_cut),
+        (float,) * 4 + (int,) * 2)]
+    # new[i]: row i differs from row i-1 in some bit after t, or starts a chunk
+    new = np.zeros(trace.n_samples, dtype=bool)
+    for col in cols:
+        bits = col.view(np.int64) if col.dtype.kind == "f" else col
+        new[1:] |= bits[1:] != bits[:-1]
+    new[::_ROWS] = True
     for lo in range(0, trace.n_samples, _ROWS):
-        text = [cells(col[lo:lo + _ROWS].tolist()) for col in cols]
-        yield "".join(row % r for r in zip(*text))
+        starts = new[lo:lo + _ROWS].nonzero()[0]
+        tails = [tail % r for r in zip(*[cells(col[starts + lo].tolist()) for col in cols])]
+        runs = np.diff(starts, append=min(_ROWS, trace.n_samples - lo)).tolist()
+        yield "".join(chain.from_iterable(zip(
+            repeat(head), cells(times[lo:lo + _ROWS].tolist()),
+            chain.from_iterable(map(repeat, tails, runs)))))
 
 
 def _json_cells(values: list) -> list[str]:

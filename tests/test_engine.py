@@ -11,6 +11,7 @@ from cutgossip.engine import (
     SimConfig,
     SimTrace,
     StateVector,
+    _idle,
     _side_metrics,
     next_event,
     replay,
@@ -394,11 +395,20 @@ def test_non_finite_x0_rejected(bad):
 
 
 def test_overflowing_x0_rejected():
-    # every entry is finite, but var(x0) overflows a float
+    # every entry is finite, but var(x0) overflows a float, or the exact
+    # sum of the entries overflows on the way to their mean
     g = build_barbell(8, 8)
     with pytest.raises(ValueError, match="overflows"):
         simulate(g, VANILLA, worst_cut_x0(g) * 1e300,
                  SimConfig(seed=1, max_events=10))
+    g = build_barbell(4, 4)
+    huge = [1e308] * 8
+    with pytest.raises(ValueError, match="overflows"):
+        simulate(g, VANILLA, huge, SimConfig(seed=1, max_events=10))
+    with pytest.raises(ValueError, match="overflows"):
+        simulate_batch(g, VANILLA, huge, [1, 2], 5.0)
+    with pytest.raises(ValueError, match="overflows"):
+        StateVector.from_values(huge)
 
 
 def test_batch_kernel_rejects_bad_inputs():
@@ -414,6 +424,31 @@ def test_batch_kernel_rejects_bad_inputs():
         simulate_batch(g, VANILLA, x0, [1, 2], -1.0)
     first, last = simulate_batch(g, VANILLA, x0, [], 5.0)
     assert first.shape == last.shape == (0,)
+
+
+@pytest.mark.parametrize("side, idle", [
+    ([2.5, 2.5, 2.5], True),
+    ([-0.0, -0.0], True),
+    ([5e-324, 5e-324], True),  # subnormal: a + a and its half are exact
+    ([math.nextafter(2.0**1023, 0.0)] * 2, True),
+    ([2.5, 2.5, 2.0], False),
+    ([2.5, 2.0, 2.5], False),
+    ([0.0, -0.0, 0.0], False),  # equal, but a vanilla update turns -0.0 into 0.0
+    ([math.nan, math.nan], False),
+    ([math.inf, math.inf], False),
+    ([-math.inf, -math.inf], False),
+    ([2.0**1023, 2.0**1023], False),  # a + a overflows
+    ([-(2.0**1023), -(2.0**1023)], False),
+    ([1.0, math.nan, 1.0], False),
+])
+def test_idle_side_predicate(side, idle):
+    # the side sits between two other values, which the test must ignore
+    x = [7.0, *side, -7.0]
+    assert _idle(x, 1, 1 + len(side)) is idle
+    if idle:
+        a = side[0]
+        assert math.copysign(1.0, 0.5 * (a + a)) == math.copysign(1.0, a)
+        assert 0.5 * (a + a) == a and a - a == 0.0
 
 
 def test_replay_states_selects_indices():
@@ -482,22 +517,39 @@ def test_trace_files_byte_identical(tmp_path, every):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITTEN[every, ext]
 
 
-def test_trace_writers_spell_special_floats(tmp_path):
-    inf, nan = math.inf, math.nan
-    trace = SimTrace(
-        times=np.array([0.0, 0.5, inf]),
-        var=np.array([nan, -0.0, 1e-300]),
-        mu1=np.array([-0.0, inf, 0.1]),
-        mu2=np.array([-inf, 1.0, 2.5e16]),
-        sigma=np.array([0.0, nan, 1.0 / 3.0]),
-        nu12=np.array([0, 3, 2**40]),
-        k_cut=np.array([0, -1, 7]),
+def _table_trace(rows):
+    """A SimTrace whose sample columns are the given (t, var, mu1, mu2,
+    sigma, nu_t, k) rows."""
+    cols = list(zip(*rows))
+    return SimTrace(
+        times=np.array(cols[0]), var=np.array(cols[1]), mu1=np.array(cols[2]),
+        mu2=np.array(cols[3]), sigma=np.array(cols[4]),
+        nu12=np.array(cols[5]), k_cut=np.array(cols[6]),
         epoch_marks=np.empty(0), epoch_sample_idx=np.empty(0, np.int64),
         epoch_event_idx=None, tick_totals={"total": 0}, event_log=None,
         states=None, final=StateVector.from_values([0.0]),
         first_crossing=None, last_exceedance=None,
         meta={"seed": 1, "rule": "vanilla"},
     )
+
+
+def test_trace_writers_spell_special_floats(tmp_path):
+    inf, nan = math.inf, math.nan
+    third = 1.0 / 3.0
+    trace = _table_trace([
+        (0.0, nan, -0.0, -inf, 0.0, 0, 0),
+        (0.5, -0.0, inf, 1.0, nan, 3, -1),
+        (inf, 1e-300, 0.1, 2.5e16, third, 2**40, 7),
+        # a tail that repeats the row before
+        (inf, 1e-300, 0.1, 2.5e16, third, 2**40, 7),
+        # tails that differ only in the sign of a zero
+        (1.0, 0.0, 0.0, 0.0, 0.0, 1, 1),
+        (1.5, 0.0, -0.0, 0.0, 0.0, 1, 1),
+        (2.0, 0.0, 0.0, 0.0, 0.0, 1, 1),
+        # a tail that repeats NaN
+        (2.5, nan, nan, 1.0, nan, 1, 1),
+        (3.0, nan, nan, 1.0, nan, 1, 1),
+    ])
     write_trace_jsonl(trace, tmp_path / "t.jsonl")
     assert (tmp_path / "t.jsonl").read_text().splitlines() == [
         '{"meta": {"seed": 1, "rule": "vanilla"}}',
@@ -507,13 +559,40 @@ def test_trace_writers_spell_special_floats(tmp_path):
         ' "nu_t": 3, "k": -1}',
         '{"t": Infinity, "var": 1e-300, "mu1": 0.1, "mu2": 2.5e+16,'
         ' "sigma": 0.3333333333333333, "nu_t": 1099511627776, "k": 7}',
+        '{"t": Infinity, "var": 1e-300, "mu1": 0.1, "mu2": 2.5e+16,'
+        ' "sigma": 0.3333333333333333, "nu_t": 1099511627776, "k": 7}',
+        '{"t": 1.0, "var": 0.0, "mu1": 0.0, "mu2": 0.0, "sigma": 0.0, "nu_t": 1, "k": 1}',
+        '{"t": 1.5, "var": 0.0, "mu1": -0.0, "mu2": 0.0, "sigma": 0.0, "nu_t": 1, "k": 1}',
+        '{"t": 2.0, "var": 0.0, "mu1": 0.0, "mu2": 0.0, "sigma": 0.0, "nu_t": 1, "k": 1}',
+        '{"t": 2.5, "var": NaN, "mu1": NaN, "mu2": 1.0, "sigma": NaN, "nu_t": 1, "k": 1}',
+        '{"t": 3.0, "var": NaN, "mu1": NaN, "mu2": 1.0, "sigma": NaN, "nu_t": 1, "k": 1}',
     ]
     write_trace_csv(trace, tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_text().splitlines()[2:] == [
         "0.0,nan,-0.0,-inf,0.0,0,0",
         "0.5,-0.0,inf,1.0,nan,3,-1",
         "inf,1e-300,0.1,2.5e+16,0.3333333333333333,1099511627776,7",
+        "inf,1e-300,0.1,2.5e+16,0.3333333333333333,1099511627776,7",
+        "1.0,0.0,0.0,0.0,0.0,1,1",
+        "1.5,0.0,-0.0,0.0,0.0,1,1",
+        "2.0,0.0,0.0,0.0,0.0,1,1",
+        "2.5,nan,nan,1.0,nan,1,1",
+        "3.0,nan,nan,1.0,nan,1,1",
     ]
+
+    # a run of equal tails across the writers' 1,024-row chunk boundary,
+    # against one json.dumps of a dict, or one repr per cell, per row
+    rows = [(0.25 * i, 0.5, -0.0, 1.0, 0.0, 2, 1) for i in range(1000, 1030)]
+    rows[5] = (rows[5][0], 0.5, 0.0, 1.0, 0.0, 2, 1)
+    trace = _table_trace([(0.25 * i, float(i), 0.0, 0.0, 0.0, i, 0)
+                          for i in range(1000)] + rows)
+    names = ["t", "var", "mu1", "mu2", "sigma", "nu_t", "k"]
+    write_trace_jsonl(trace, tmp_path / "t.jsonl")
+    assert (tmp_path / "t.jsonl").read_text().splitlines()[1001:] == [
+        json.dumps(dict(zip(names, r))) for r in rows]
+    write_trace_csv(trace, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_text().splitlines()[1002:] == [
+        ",".join(map(repr, r)) for r in rows]
 
 
 def test_batched_metrics_match_the_per_row_arithmetic():

@@ -23,7 +23,7 @@ from cutgossip.engine import (  # noqa: E402
     SimConfig, StateVector, next_event, replay_states, simulate,
     simulate_batch, step,
 )
-from cutgossip.graph import build_barbell, random_partitioned  # noqa: E402
+from cutgossip.graph import KIND_CROSS, build_barbell, random_partitioned  # noqa: E402
 from cutgossip.rules import RuleDescriptor  # noqa: E402
 
 RULES = {
@@ -223,3 +223,95 @@ def test_sampled_states_equal_replayed_states(case, seed, events, pending, table
             metrics = engine._side_metrics(states, g.view.n1)
             for got, want in zip((tr.mu1, tr.mu2, tr.sigma, tr.var), metrics):
                 assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Idle sides: simulate and replay_states skip the intra-side vanilla events
+# of a side at exact consensus.  A per-event reference that never skips
+# (engine.step over the event log) must give the same bits.
+# ---------------------------------------------------------------------------
+
+SKIP_RULES = {"vanilla": RULES["vanilla"], "algA": RULES["algA"]}
+
+
+@st.composite
+def skip_cases(draw):
+    n1 = draw(st.integers(2, 6))
+    n2 = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        g = build_barbell(n1, n2)
+    else:
+        # cross edges besides the cut, whose vanilla updates wake both sides
+        g = random_partitioned(n1, n2, 0.7, 0.7, draw(st.integers(2, 3)),
+                               draw(st.integers(0, 10**6)))
+    start = draw(st.sampled_from(["block", "signed_zero"]))
+    if start == "block":
+        # block-constant, scaled and shifted: both sides idle at the start
+        a = 10.0 ** draw(st.floats(-3.0, 3.0))
+        x0 = a * worst_cut_x0(g) + draw(st.floats(-1.0, 1.0)) * 1e8 * a
+    else:
+        # block one holds 0.0 and -0.0, equal but not bitwise equal: a
+        # vanilla update turns -0.0 into 0.0, so the side is not idle
+        x0 = np.ones(g.n)
+        x0[: g.n1] = 0.0
+        x0[1 : g.n1 : 2] = -0.0
+    return g, x0, start, draw(st.sampled_from(sorted(SKIP_RULES)))
+
+
+def _stepped_states(g, rule, x0, log):
+    """The states after each event of ``log`` (row 0: x0), by engine.step."""
+    state = StateVector.from_values(x0)
+    states = [state.values]
+    cut_ticks = 0
+    for edge, case in zip(log.edges.tolist(), log.cases.tolist()):
+        state, applied, cut_ticks = step(state, g, rule, edge, cut_ticks)
+        assert applied == case
+        states.append(state.values)
+    return np.array(states)
+
+
+@PROPERTY
+# runs long enough that sides fall idle, and that cross the blocks that
+# end after events 64, 192, 448 and 960
+@given(skip_cases(), st.integers(0, 2**32), st.integers(200, 1500))
+def test_idle_skip_equals_per_event_steps(case, seed, events):
+    g, x0, start, name = case
+    rule = SKIP_RULES[name]
+    applied = [0, 0]  # events given to _pair_updates, and those it applied
+
+    def counted(x, U, *args, **kwargs):
+        live = pair_updates(x, U, *args, **kwargs)
+        applied[0] += len(U)
+        applied[1] += len(U) if live is None else len(live)
+        return live
+
+    pair_updates = engine._pair_updates
+    ref = None
+    for every in (1, 7, 1 << 62):
+        for stop in (False, True):
+            cfg = SimConfig(seed=seed, max_events=events, sample_every=every,
+                            stop_at_crossing=stop, record_events=True,
+                            record_states=True)
+            with mock.patch.object(engine, "_pair_updates", counted):
+                tr = simulate(g, rule, x0, cfg)
+            if ref is None:
+                ref_log = tr.event_log
+                ref = _stepped_states(g, rule, x0, ref_log)
+            # the event each sample follows, and the state after it
+            at = np.searchsorted(tr.event_log.times, tr.times, side="right") - 1
+            want = ref[at + 1]
+            assert tr.states.tobytes() == want.tobytes()
+            assert tr.var.tobytes() == engine._side_metrics(want, g.view.n1)[3].tobytes()
+            assert tr.final.values.tobytes() == ref[tr.n_events].tobytes()
+            with mock.patch.object(engine, "_pair_updates", counted):
+                replayed = replay_states(g, rule, x0, tr.event_log, at.tolist())
+            assert replayed.tobytes() == want.tobytes()
+            # the variance detector, against a run that applies every event
+            with mock.patch.object(engine, "_idle", lambda x, lo, hi: False):
+                full = simulate(g, rule, x0, cfg)
+            assert (tr.first_crossing, tr.last_exceedance) == (
+                full.first_crossing, full.last_exceedance)
+    first_kind = g.view.kind[ref_log.edges[0]]
+    if start == "block" and first_kind < KIND_CROSS:
+        # both sides start idle, so at least the first event is skipped
+        assert applied[1] < applied[0]
