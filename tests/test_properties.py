@@ -277,6 +277,7 @@ def _stepped_states(g, rule, x0, log):
 def test_idle_skip_equals_per_event_steps(case, seed, events):
     g, x0, start, name = case
     rule = SKIP_RULES[name]
+    pair_updates = engine._pair_updates
     applied = [0, 0]  # events given to _pair_updates, and those it applied
 
     def counted(x, U, *args, **kwargs):
@@ -285,7 +286,6 @@ def test_idle_skip_equals_per_event_steps(case, seed, events):
         applied[1] += len(U) if live is None else len(live)
         return live
 
-    pair_updates = engine._pair_updates
     ref = None
     for every in (1, 7, 1 << 62):
         for stop in (False, True):
