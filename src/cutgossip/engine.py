@@ -51,11 +51,10 @@ _TABLE = 1 << 15
 # events between idle checks of a side that still moves (see _pair_updates)
 _CHECK = 128
 _HUGE = 2.0**1023
-# simulate_batch: runs advanced in lockstep, steps per block, and edges
-# drawn per call, at most; they bound its buffers
+# simulate_batch: runs advanced in lockstep and steps per block, at most;
+# they bound its buffers
 _GROUP = 32
 _BLOCK = 256
-_DRAW = 1024
 _CASES = tuple(RuleCase)
 _VANILLA = int(RuleCase.VANILLA)
 _CONVEX = int(RuleCase.CONVEX)
@@ -120,10 +119,13 @@ class SimConfig:
             raise ValueError("max_time must be nonnegative")
         if self.max_events is None and self.max_time == math.inf:
             raise ValueError("max_time must be finite when max_events is unset")
-        if self.max_events is not None and self.max_events < 0:
-            raise ValueError("max_events must be nonnegative")
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
+        for name, least in (("max_events", 0), ("sample_every", 1)):
+            value = getattr(self, name)
+            if value is None and name == "max_events":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer too
 
 
 @dataclass
@@ -245,23 +247,98 @@ def sum_sq_dev(x: list[float]) -> float:
 
 def _start(graph, x0) -> tuple[list[float], float]:
     """x0 as a list of floats checked against ``graph``, and its S0."""
-    x = [float(v) for v in np.asarray(x0, dtype=float)]
-    if len(x) != graph.view.n:
-        raise ValueError(f"x0 has length {len(x)}, graph has {graph.view.n} vertices")
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (graph.view.n,):
+        raise ValueError(f"x0 has shape {x.shape}; the graph needs length {graph.view.n}")
+    x = x.tolist()
     ss = sum_sq_dev(x)
     if len(graph.view.eu) < 1:
         raise ValueError("graph has no edges")
     return x, ss
 
 
-def _fired(runs: np.ndarray, cut_before: np.ndarray, period: int, phase: int) -> np.ndarray:
-    """Which cut ticks of a block fire the amplified transfer: the k-th cut
-    tick of a run (k from 1) fires when k % period == phase.  ``runs``
-    gives the run of each of the block's cut ticks, grouped by run and in
-    event order within a run, and ``cut_before`` each run's cut ticks
-    before the block."""
-    k = np.arange(1, len(runs) + 1) - runs.searchsorted(runs) + cut_before[runs]
-    return k % period == phase
+_NO_FIRINGS = (np.empty(0, dtype=np.intp),) * 2
+
+
+class _Clocks:
+    """The merged clocks of R seeded runs, read in lockstep a block of
+    events at a time.
+
+    Each run draws from its own ``PCG64(seed)`` stream, per chunk of
+    :data:`_CHUNK` events, the chunk's waiting times (Exp(m), as 1/m
+    times standard exponentials) and then its edges, uniform over the m
+    edges: the layout ``RNG_ID`` names.  Blocks of 64, 64, 128, 256, ...
+    events, at most ``cap``, start at a multiple of their length, so none
+    straddles a chunk.  Results do not depend on the schedule; ``cap``
+    bounds the caller's per-block buffers.  ``max_time`` (None for none)
+    is the runs' time cap, and ``rc`` the rule resolved against the graph.
+    """
+
+    def __init__(self, graph, rule, seeds, cap: int, max_time: float | None) -> None:
+        self.kind = graph.view.kind
+        self.rc = rc = compile_rule(graph, rule)
+        self.kind_case = np.array([rc.intra, rc.intra, rc.cross, rc.cross],
+                                  dtype=np.int8)  # per KIND_*
+        self.cap = cap
+        self.max_time = math.inf if max_time is None else max_time
+        self.rngs = [np.random.default_rng(np.random.PCG64(s)) for s in seeds]
+        R = len(self.rngs)
+        self.exps = np.empty((R, _CHUNK))
+        self.edges = np.empty((R, _CHUNK), dtype=np.int32)
+        self.t = np.zeros(R)
+        self.cut = np.zeros(R, dtype=np.int64)  # per run, cut ticks of a firing rule
+        self.events = 0  # per run, so far
+
+    def block(self):
+        """The next block of b events of every run, as (b, R) arrays of
+        event times, edges, edge kinds and case codes, in which firings
+        are NONCONVEX; the firings as (positions, runs), grouped by run and
+        in event order; and per run the count of its events at or before
+        ``max_time`` (b if there is no cap)."""
+        R = len(self.rngs)
+        lo = self.events % _CHUNK
+        if not lo:
+            m = len(self.kind)
+            for r, rng in enumerate(self.rngs):
+                rng.standard_exponential(out=self.exps[r])
+                self.edges[r] = rng.integers(0, m, _CHUNK, dtype=np.int32)
+            self.exps[:R] *= 1.0 / m  # exponential(1/m) is 1/m times those
+        b = min(self.cap, self.events & -self.events) if self.events else _FIRST_BLOCK
+        hi = lo + b
+        self.events += b
+        times = self.exps[:R, lo:hi]
+        times[:, 0] += self.t
+        np.add.accumulate(times, axis=1, out=times)  # the same left fold as t += dt
+        self.t = times[:, -1].copy()
+        # (R, b) here: a run's events are contiguous, and a flat nonzero
+        # is several times faster than a 2-D one
+        e = self.edges[:R, lo:hi].astype(np.intp)
+        kinds = self.kind.take(e)
+        cases = self.kind_case.take(kinds)
+        fired = _NO_FIRINGS
+        if self.rc.phase >= 0:
+            flat = (kinds == KIND_CUT).ravel().nonzero()[0]  # grouped by run
+            runs, at = np.divmod(flat, b)
+            # each cut tick's count k within its run
+            k = np.arange(1, len(runs) + 1) - runs.searchsorted(runs) + self.cut[runs]
+            self.cut += np.bincount(runs, minlength=R)
+            fire = self.rc.fires(k)
+            fired = at[fire], runs[fire]
+            cases.ravel()[flat[fire]] = _NONCONVEX
+        ends = np.full(R, b)
+        for r in (self.t > self.max_time).nonzero()[0].tolist():
+            ends[r] = times[r].searchsorted(self.max_time, side="right")
+        return times.T, e.T, kinds.T, cases.T, fired, ends
+
+    def keep(self, runs: np.ndarray) -> None:
+        """Keep only the runs where the mask ``runs`` is set, with the
+        draws they have not read yet."""
+        R = len(self.rngs)
+        self.rngs = [rng for rng, kept in zip(self.rngs, runs.tolist()) if kept]
+        self.t, self.cut = self.t[runs], self.cut[runs]
+        read = (self.events - 1) % _CHUNK + 1  # of the current chunk, 1 to _CHUNK
+        for buf in (self.exps, self.edges):
+            buf[: len(self.rngs), read:] = buf[:R, read:][runs]
 
 
 class _Detector:
@@ -507,7 +584,7 @@ def step(
     case = rc.intra if k < KIND_CROSS else rc.cross
     if k == KIND_CUT and rc.phase >= 0:
         cut_ticks += 1
-        if cut_ticks % rc.period == rc.phase:
+        if rc.fires(cut_ticks):
             case = RuleCase.NONCONVEX
     values = state.values.copy()
     values[u], values[v] = pair_update(case, values[u], values[v], rc.alpha, rc.gamma)
@@ -521,9 +598,9 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     only, a :class:`SideGraph`.  Reproducible: equal (graph, rule, x0,
     seed) produce bit-identical traces.
 
-    Each drawn chunk is cut into blocks of 64, 128, ... up to 4096 events,
-    so a short run converts little of it to Python objects.  Per block,
-    numpy gives the event times, the caps, endpoints, cases, firings,
+    Its clock is the planner :class:`_Clocks` over one run, in blocks of
+    up to 4096 events; a short run converts little of its chunk to Python
+    objects.  Per block, numpy gives the ``max_events`` cut, endpoints,
     sample points and tick counters; a Python loop applies the pair
     updates in order; then the variance detector runs over the block.
     The loop copies the values at each sample point, except in a dense
@@ -533,15 +610,11 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     side at exact consensus, which change nothing (see
     :func:`_pair_updates`), and the detector sees only the others.
     """
-    n, n1, eu, ev, kind = graph.view
+    n, n1, eu, ev, _ = graph.view
     x, ss = _start(graph, x0)
     initial_sum = _fsum(x)
-    m = len(eu)
-    intra, cross, period, phase, alpha, gamma = compile_rule(graph, rule)
-    kind_case = np.array([intra, intra, cross, cross], dtype=np.int8)  # per KIND_*
-
-    rng = np.random.default_rng(np.random.PCG64(config.seed))
-    inv_m = 1.0 / m
+    clocks = _Clocks(graph, rule, [config.seed], _CHUNK, config.max_time)
+    intra, _, _, _, alpha, gamma = clocks.rc
 
     # without variance the ratio is undefined and there is no detector
     det = _Detector(ss, 1, alpha, gamma, config.stop_at_crossing) if ss > 0.0 else None
@@ -570,30 +643,21 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     # waiting after a block or slab, and at the end of the run.
     rows: list[list[float]] = []
     pending: list[np.ndarray] = []
-    n_pending = 0  # rows in ``pending``
 
-    def measure() -> None:
-        nonlocal n_pending
+    def measure(states: np.ndarray | None = None, least: int = _PENDING) -> None:
+        """Queue ``rows``, then ``states``, and measure the queue once it
+        holds at least ``least`` states."""
         if rows:
             pending.append(np.array(rows))
             rows.clear()
-        states = np.concatenate(pending) if len(pending) > 1 else pending[0]
-        pending.clear()
-        n_pending = 0
-        s_metrics.append(_side_metrics(states, n1))
-        if config.record_states:
-            s_states.append(states)
-
-    def add_states(states: np.ndarray) -> None:
-        nonlocal n_pending
-        if rows:
-            pending.append(np.array(rows))
-            n_pending += len(rows)
-            rows.clear()
-        pending.append(states)
-        n_pending += len(states)
-        if n_pending >= _PENDING:
-            measure()
+        if states is not None:
+            pending.append(states)
+        if pending and sum(map(len, pending)) >= least:
+            states = np.concatenate(pending) if len(pending) > 1 else pending[0]
+            pending.clear()
+            s_metrics.append(_side_metrics(states, n1))
+            if config.record_states:
+                s_states.append(states)
 
     def take_sample(t: float, nu12: int, k_cut: int) -> None:
         nonlocal n_samples
@@ -605,135 +669,113 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
 
     take_sample(t, 0, 0)
 
-    max_time = config.max_time
     max_events = config.max_events
     sample_every = config.sample_every
-    size = _FIRST_BLOCK
-    stop = max_events == 0 or max_time == 0.0
+    stop = max_events == 0 or config.max_time == 0.0
     while not stop:
-        dts = rng.exponential(inv_m, _CHUNK)
-        eis = rng.integers(0, m, _CHUNK)
-        lo = 0
-        while lo < _CHUNK and not stop:
-            hi = min(lo + size, _CHUNK)
-            size = min(2 * size, _CHUNK)
-            # per block, in numpy: times, caps, cases, firings, sample points
-            times = dts[lo:hi]
-            times[0] += t
-            np.add.accumulate(times, out=times)  # the same left fold as t += dt
-            e = eis[lo:hi]
-            lo = hi
-            end = len(e)
-            timed_out = False
-            if max_events is not None and max_events - events <= end:
-                end = max_events - events
-                stop = True
-            if max_time is not None:
-                n_in = int(times[:end].searchsorted(max_time, side="right"))
-                if n_in < end:
-                    end, timed_out, stop = n_in, True, True
-            e = e[:end]
-            kinds = kind[e]
-            cases = kind_case[kinds]
-            cut_at = (kinds == KIND_CUT).nonzero()[0]
-            if phase >= 0:
-                fired = cut_at[_fired(np.zeros_like(cut_at), np.array([ticks[KIND_CUT]]),
-                                      period, phase)]
-                cases[fired] = _NONCONVEX
-            else:
-                fired = cut_at[:0]
-            # samples: every firing, and every sample_every-th event of the run
-            points = np.arange((-events - 1) % sample_every, end, sample_every)
-            if fired.size:
-                sampled = np.zeros(end, dtype=bool)
-                sampled[points] = True
-                sampled[fired] = True
-                points = sampled.nonzero()[0]
-            Ue = eu[e]
-            Ve = ev[e]
-            U = Ue.tolist()
-            V = Ve.tolist()
-            C = cases.tolist()
-            # the loop applies only the events that can change x (``live``,
-            # None for all of them); the detector sees only those
-            skip = (kinds, cases) if intra == _VANILLA else None
-            dense = 0 < end <= _DENSE * len(points)
-            if dense:
-                # no samples mid-loop: the loop logs each event's writes,
-                # from which numpy rebuilds the sampled states below
-                start = np.array(x)
-                flat: list[float] = []
-                live = _pair_updates(x, U, V, C, alpha, gamma, flat, writes=True,
-                                     skip=skip, n1=n1)
-                logged = np.fromiter(flat, np.float64, len(flat)).reshape(-1, 3)  # d, x_u, x_v
-                d = logged[:, :1].copy()
-            else:
-                # a run that stops at its first crossing may pass it within
-                # the block; it then goes back to the block's start
-                start = (np.array(x) if config.stop_at_crossing and det is not None
-                         and math.isnan(det.first[0]) else None)
-                ds: list[float] = []
-                live = _pair_updates(x, U, V, C, alpha, gamma, ds, cuts=points.tolist(),
-                                     copies=rows, skip=skip, n1=n1)
-                d = np.fromiter(ds, np.float64, len(ds))[:, None]
-            if det is not None and len(d):
-                # per block, in numpy: the variance detector
-                at = slice(end) if live is None else live
-                j = int(det.block(d, cases[at, None], times[at, None])[0])
-                if j >= 0 and config.stop_at_crossing:
-                    stop, timed_out = True, False
-                    if live is not None:
-                        j = int(live[j])
-                    if j + 1 < end:
-                        end = j + 1
-                        x[:] = start.tolist()
-                        _pair_updates(x, U[:end], V[:end], C[:end], alpha, gamma, [])
-            k = int(points.searchsorted(end))  # sample points up to the stop
-            if dense:
-                last_at = points[:k]
+        times, e, kinds, cases, (fired, _), ends = clocks.block()
+        # the one run's column, cut at max_events or at max_time
+        times, e, kinds, cases = times[:, 0], e[:, 0], kinds[:, 0], cases[:, 0]
+        end = len(e)
+        timed_out = False
+        if max_events is not None and max_events - events <= end:
+            end = max_events - events
+            stop = True
+        if ends[0] < end:
+            end, timed_out, stop = int(ends[0]), True, True
+        e, kinds, cases = e[:end], kinds[:end], cases[:end]
+        fired = fired[: fired.searchsorted(end)]
+        cut_at = (kinds == KIND_CUT).nonzero()[0]
+        # samples: every firing, and every sample_every-th event of the run
+        points = np.arange((-events - 1) % sample_every, end, sample_every)
+        if fired.size:
+            sampled = np.zeros(end, dtype=bool)
+            sampled[points] = True
+            sampled[fired] = True
+            points = sampled.nonzero()[0]
+        Ue = eu[e]
+        Ve = ev[e]
+        U = Ue.tolist()
+        V = Ve.tolist()
+        C = cases.tolist()
+        # the loop applies only the events that can change x (``live``,
+        # None for all of them); the detector sees only those
+        skip = (kinds, cases) if intra == _VANILLA else None
+        dense = 0 < end <= _DENSE * len(points)
+        if dense:
+            # no samples mid-loop: the loop logs each event's writes,
+            # from which numpy rebuilds the sampled states below
+            start = np.array(x)
+            flat: list[float] = []
+            live = _pair_updates(x, U, V, C, alpha, gamma, flat, writes=True,
+                                 skip=skip, n1=n1)
+            logged = np.fromiter(flat, np.float64, len(flat)).reshape(-1, 3)  # d, x_u, x_v
+            d = logged[:, :1].copy()
+        else:
+            # a run that stops at its first crossing may pass it within
+            # the block; it then goes back to the block's start
+            start = (np.array(x) if config.stop_at_crossing and det is not None
+                     and math.isnan(det.first[0]) else None)
+            ds: list[float] = []
+            live = _pair_updates(x, U, V, C, alpha, gamma, ds, cuts=points.tolist(),
+                                 copies=rows, skip=skip, n1=n1)
+            d = np.fromiter(ds, np.float64, len(ds))[:, None]
+        if det is not None and len(d):
+            # per block, in numpy: the variance detector
+            at = slice(end) if live is None else live
+            j = int(det.block(d, cases[at, None], times[at, None])[0])
+            if j >= 0 and config.stop_at_crossing:
+                stop, timed_out = True, False
                 if live is not None:
-                    # a point's state is the one after the last event
-                    # applied at or before it
-                    last_at = live.searchsorted(last_at, side="right") - 1
-                    Ue, Ve = Ue[live], Ve[live]
-                for states in _block_states(start, Ue, Ve, logged[:, 1:], last_at):
-                    add_states(states)
-            else:
-                del rows[len(rows) - len(points) + k:]
-                if len(rows) + n_pending >= _PENDING:
-                    measure()
-            if k:
-                # t, nu12 and k_cut at each sample point
-                kept = points[:k]
-                s_times.append(times[kept])
-                s_nu.append((kinds >= KIND_CROSS).nonzero()[0].searchsorted(kept, side="right")
-                            + (ticks[KIND_CROSS] + ticks[KIND_CUT]))
-                s_k.append(cut_at.searchsorted(kept, side="right") + ticks[KIND_CUT])
-            # counters, epoch marks and the event log
-            counts = np.bincount(kinds[:end], minlength=4).tolist()
-            ticks = [a + b for a, b in zip(ticks, counts)]
-            f = fired[: fired.searchsorted(end)]
-            if f.size:
-                marks.append(times[f])
-                mark_sidx.append(points.searchsorted(f) + n_samples)
-                mark_eidx.append(f + events)
-            n_samples += k
-            if config.record_events:
-                # copies: views would keep every chunk's draws alive
-                log_t.append(times[:end].copy())
-                log_e.append(e[:end].copy())
-                log_c.append(cases[:end])
-            events += end
-            if end:
-                t = float(times[end - 1])
-            if timed_out:
-                t = max_time
+                    j = int(live[j])
+                if j + 1 < end:
+                    end = j + 1
+                    x[:] = start.tolist()
+                    _pair_updates(x, U[:end], V[:end], C[:end], alpha, gamma, [])
+        k = int(points.searchsorted(end))  # sample points up to the stop
+        if dense:
+            last_at = points[:k]
+            if live is not None:
+                # a point's state is the one after the last event
+                # applied at or before it
+                last_at = live.searchsorted(last_at, side="right") - 1
+                Ue, Ve = Ue[live], Ve[live]
+            for states in _block_states(start, Ue, Ve, logged[:, 1:], last_at):
+                measure(states)
+        else:
+            del rows[len(rows) - len(points) + k:]
+            measure()
+        if k:
+            # t, nu12 and k_cut at each sample point
+            kept = points[:k]
+            s_times.append(times[kept])
+            s_nu.append((kinds >= KIND_CROSS).nonzero()[0].searchsorted(kept, side="right")
+                        + (ticks[KIND_CROSS] + ticks[KIND_CUT]))
+            s_k.append(cut_at.searchsorted(kept, side="right") + ticks[KIND_CUT])
+        # counters, epoch marks and the event log
+        counts = np.bincount(kinds[:end], minlength=4).tolist()
+        ticks = [a + b for a, b in zip(ticks, counts)]
+        f = fired[: fired.searchsorted(end)]
+        if f.size:
+            marks.append(times[f])
+            mark_sidx.append(points.searchsorted(f) + n_samples)
+            mark_eidx.append(f + events)
+        n_samples += k
+        if config.record_events:
+            # copies: the clocks reuse their buffers
+            log_t.append(times[:end].copy())
+            log_e.append(e[:end].copy())
+            log_c.append(cases[:end])
+        events += end
+        if end:
+            t = float(times[end - 1])
+        if timed_out:
+            t = config.max_time
 
     e1, e2, n_cross, n_cut = ticks
     if s_times[-1][-1] != t:
         take_sample(t, n_cross + n_cut, n_cut)
-    if rows or pending:
-        measure()
+    measure(least=1)
     metrics = np.concatenate(s_metrics, axis=1)
 
     final = StateVector(np.array(x), t, initial_sum)
@@ -795,22 +837,19 @@ def simulate_batch(
     nan first crossing.  x0 must have nonzero variance.
 
     Up to :data:`_GROUP` runs advance in lockstep, one event each per
-    step, on one flat array of their values; each run draws its own
-    chunks, as ``simulate`` does.  Per block, numpy gives every run's
-    event times, cases, firings and endpoints.  Per step, one gather, one
-    update and one scatter apply the rule's intra-block case to every
-    run; a no-op event updates two scratch slots instead, and Python
-    redoes the rare firings.  Then the variance detector runs over the
-    block, and runs that met their time cap, or their first crossing when
-    they stop there, leave the group.
+    step, on one flat array of their values, a :class:`_Clocks` block at
+    a time; per block, numpy gives every run's endpoints.  Per step, one
+    gather, one update and one scatter apply the rule's intra-block case
+    to every run; a no-op event updates two scratch slots instead, and
+    Python redoes the rare firings.  Then the variance detector runs over
+    the block, and runs that met their time cap, or their first crossing
+    when they stop there, leave the group.
     """
     x, ss = _start(graph, x0)
     if ss == 0.0:
         raise ValueError("x0 has zero variance; the ratio is undefined")
-    if not max_time >= 0:
-        raise ValueError("max_time must be nonnegative")
-    if max_time == math.inf:
-        raise ValueError("max_time must be finite")
+    if not 0 <= max_time < math.inf:
+        raise ValueError("max_time must be finite and nonnegative")
     seeds = list(seeds)
     first = np.full(len(seeds), np.nan)
     last = np.full(len(seeds), np.nan)
@@ -826,14 +865,13 @@ def _lockstep(graph, rule, x, ss, seeds, max_time, stop, first, last) -> None:
     """:func:`simulate_batch` over one group of runs, written into the
     group's slices ``first`` and ``last``."""
     n, _, eu, ev, kind = graph.view
-    m = len(eu)
-    intra, cross, period, phase, alpha, gamma = compile_rule(graph, rule)
-    edge_case = np.array([intra, intra, cross, cross], dtype=np.intp)[kind]
-    is_cut = kind == KIND_CUT
+    R = len(seeds)
+    clocks = _Clocks(graph, rule, seeds, _BLOCK, max_time)
+    intra, _, _, _, alpha, gamma = clocks.rc
     # Row r's values sit at w*r .. w*r+n-1, followed by two scratch slots:
     # a no-op edge averages those instead of its endpoints.
     w = n + 2
-    noop = edge_case == _NOOP
+    noop = clocks.kind_case.take(kind) == _NOOP
     step_u = np.where(noop, n, eu)
     step_v = np.where(noop, n + 1, ev)
     # values gathered per step: x_u and x_v, and for a convex blend also
@@ -841,55 +879,23 @@ def _lockstep(graph, rule, x, ss, seeds, max_time, stop, first, last) -> None:
     # add turn into the new x_u and x_v
     vanilla = intra == RuleCase.VANILLA
     k = 2 if vanilla else 4
-    R = len(seeds)
-    rngs = [np.random.default_rng(np.random.PCG64(s)) for s in seeds]
     rows = np.arange(R)  # the run of each row still in the group
     X = np.zeros((R, w))
     X[:, :n] = x
     X = X.ravel()
-    t = np.zeros(R)
-    cut = np.zeros(R, dtype=np.int64)
     det = _Detector(ss, R, alpha, gamma, stop)
-    # per-group buffers: each row's chunk of waiting times and latest edge
-    # draws, and per block the positions in X and the values gathered at
-    # each step
-    exps = np.empty((R, _CHUNK))
-    ints = np.empty((R, _DRAW), dtype=np.int32)
+    # per-block buffers: the positions in X and the values gathered at each
+    # step
     idx_buf = np.empty(_BLOCK * k * R, dtype=np.intp)
     g_buf = np.empty(_BLOCK * k * R)
     d_buf = np.empty(_BLOCK * R)
-    events = 0
     while R:
-        lo = events % _CHUNK
-        if not lo:
-            for r, rng in enumerate(rngs):
-                rng.standard_exponential(out=exps[r])  # exponential(1/m) is 1/m times these
-            exps[:R] *= 1.0 / m
-        at = lo % _DRAW
-        if not at:
-            # in each stream a chunk's edge draws follow its waiting times;
-            # drawn _DRAW at a time they are the same numbers
-            for r, rng in enumerate(rngs):
-                ints[r] = rng.integers(0, m, _DRAW, dtype=np.int32)
-        # blocks of 64, 64, 128, 256, 256, ... events never straddle a draw
-        b = min(_BLOCK, lo & -lo) if lo else _FIRST_BLOCK
-        hi = lo + b
-        times = exps[:R, lo:hi]
-        times[:, 0] += t
-        np.add.accumulate(times, axis=1, out=times)  # the same left fold as t += dt
-        e = ints[:R, at : at + b].T.astype(np.intp)  # (b, R)
-        cases = edge_case.take(e)
+        times, e, _, cases, (cs, cr), ends = clocks.block()
+        b = len(times)
         off = np.arange(0, R * w, w)
-        fixes = []
-        if phase >= 0:
-            cr, cs = is_cut.take(e).T.nonzero()  # each row's cut ticks, in event order
-            fire = _fired(cr, cut, period, phase)
-            cut += np.bincount(cr, minlength=R)
-            cr, cs = cr[fire], cs[fire]
-            cases[cs, cr] = _NONCONVEX
-            fire_e = e[cs, cr]
-            fixes = sorted(zip(cs.tolist(), cr.tolist(), (eu[fire_e] + off[cr]).tolist(),
-                               (ev[fire_e] + off[cr]).tolist()))
+        fire_e = e[cs, cr]
+        fixes = sorted(zip(cs.tolist(), cr.tolist(), (eu[fire_e] + off[cr]).tolist(),
+                           (ev[fire_e] + off[cr]).tolist()))
         fixes.append((b, 0, 0, 0))  # sentinel
         idx = idx_buf[: b * k * R].reshape(b, k, R)
         np.add(step_u.take(e), off, out=idx[:, 0])
@@ -921,12 +927,7 @@ def _lockstep(graph, rule, x, ss, seeds, max_time, stop, first, last) -> None:
                 nxt = fixes[f][0]
         d = d_buf[: b * R].reshape(b, R)
         np.subtract(g[:, 1], g[:, 0], out=d)
-        ends = np.full(R, b)
-        for r in (times[:, -1] > max_time).nonzero()[0].tolist():
-            ends[r] = times[r].searchsorted(max_time, side="right")
-        crossed = det.block(d, cases, times.T, ends) >= 0
-        t = times[:, -1].copy()
-        events += b
+        crossed = det.block(d, cases, times, ends) >= 0
         done = ends < b
         if stop:
             done |= crossed
@@ -934,12 +935,10 @@ def _lockstep(graph, rule, x, ss, seeds, max_time, stop, first, last) -> None:
             first[rows[done]] = det.first[done]
             last[rows[done]] = det.last_exceedances()[done]
             keep = ~done
-            rngs = [rng for rng, kept in zip(rngs, keep.tolist()) if kept]
-            rows, t, cut = rows[keep], t[keep], cut[keep]
+            rows = rows[keep]
             det.keep(keep)
+            clocks.keep(keep)
             X = X.reshape(R, w)[keep].ravel()
-            exps[: len(rows), hi:] = exps[:R, hi:][keep]
-            ints[: len(rows), at + b :] = ints[:R, at + b :][keep]
             R = len(rows)
 
 
@@ -979,7 +978,7 @@ def replay_states(
                       ds, cuts=[w - lo for w in cuts], copies=out,
                       skip=(kind[e], cases) if rc.intra == _VANILLA else None, n1=n1)
         ds.clear()
-    return np.array(out)
+    return np.array(out).reshape(len(out), len(x))  # (0, n) when nothing is selected
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,10 @@ class CompiledRule(NamedTuple):
     alpha: float
     gamma: float
 
+    def fires(self, k):
+        """Whether the k-th cut tick (an int or an array of them) fires."""
+        return k % self.period == self.phase
+
 
 def compile_rule(graph, rule: RuleDescriptor) -> CompiledRule:
     """Resolve ``rule`` against a graph; the periodic scheme needs a cut

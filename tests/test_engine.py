@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 
@@ -25,7 +26,7 @@ from cutgossip.engine import (
 from cutgossip.graph import (
     KIND_CROSS, KIND_CUT, build_barbell, random_partitioned, side_subgraph,
 )
-from cutgossip.rules import RuleCase, RuleDescriptor
+from cutgossip.rules import RuleCase, RuleDescriptor, parse_rule
 
 
 VANILLA = RuleDescriptor("vanilla")
@@ -377,12 +378,31 @@ def test_config_validation():
         SimConfig(seed=1, max_events=10, sample_every=0)
     with pytest.raises(ValueError):
         SimConfig(seed=1, max_time=-1.0)
+    # counts must be integers; the error names the field
+    with pytest.raises(ValueError, match="max_events"):
+        SimConfig(seed=1, max_events=10.0)
+    with pytest.raises(ValueError, match="max_events"):
+        SimConfig(seed=1, max_events=True)
+    with pytest.raises(ValueError, match="sample_every"):
+        SimConfig(seed=1, max_events=10, sample_every=2.5)
+    # numpy integers are accepted, and stored as Python ints
+    cfg = SimConfig(seed=1, max_events=np.int64(10), sample_every=np.int32(3))
+    assert (type(cfg.max_events), type(cfg.sample_every)) == (int, int)
+    g = build_barbell(2, 2)
+    trace = simulate(g, VANILLA, worst_cut_x0(g), cfg)
+    assert trace.n_events == 10 and trace.meta["sample_every"] == 3
 
 
 def test_x0_length_checked():
     g = build_barbell(2, 2)
     with pytest.raises(ValueError, match="length"):
         simulate(g, VANILLA, [1.0, -1.0], SimConfig(seed=1, max_events=10))
+    # a start that is not one vector of values
+    for bad in (np.ones((2, 2)), np.ones((4, 1)), 1.0):
+        with pytest.raises(ValueError, match="x0 has shape"):
+            simulate(g, VANILLA, bad, SimConfig(seed=1, max_events=10))
+        with pytest.raises(ValueError, match="x0 has shape"):
+            simulate_batch(g, VANILLA, bad, [1, 2], 5.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -426,6 +446,54 @@ def test_batch_kernel_rejects_bad_inputs():
     assert first.shape == last.shape == (0,)
 
 
+def test_batch_kernel_past_its_first_chunk():
+    # 33 runs make two groups.  Stopped vanilla runs end after 2,131 to
+    # 6,322 events: some leave their group within the first chunk of
+    # draws, and the rest read on from compacted rows into the next one.
+    # The algA runs read four chunks each before their time cap.
+    g = build_barbell(16, 16)
+    x0 = worst_cut_x0(g)
+    seeds = range(100, 133)
+    for rule, horizon, stop in ((VANILLA, 200.0, True),
+                                (parse_rule("algA:P=8"), 60.0, False)):
+        traces = [simulate(g, rule, x0, SimConfig(seed=s, max_time=horizon,
+                                                  stop_at_crossing=stop,
+                                                  sample_every=1 << 62))
+                  for s in seeds]
+        events = [tr.n_events for tr in traces]
+        if stop:
+            assert min(events) < 4096 < max(events)
+        else:
+            assert min(events) > 3 * 4096
+        first, last = simulate_batch(g, rule, x0, seeds, horizon, stop)
+        want_first = [math.nan if tr.first_crossing is None else tr.first_crossing
+                      for tr in traces]
+        assert first.tobytes() == np.array(want_first).tobytes()
+        assert last.tobytes() == np.array([tr.last_exceedance for tr in traces]).tobytes()
+
+
+def test_event_stream_layout_is_rng_id():
+    # RNG_ID names the layout of a run's draws: per chunk of 4096 events,
+    # from one PCG64(seed) generator, 4096 waiting times Exp(m) and then
+    # 4096 edges uniform over the m edges; event times are the left fold
+    # t += dt of the waiting times
+    assert RNG_ID == "numpy-PCG64/chunk4096"
+    g = build_barbell(3, 5)
+    m = g.num_edges
+    gen = np.random.default_rng(np.random.PCG64(7))
+    dts, edges = [], []
+    for _ in range(3):
+        dts += gen.exponential(1.0 / m, 4096).tolist()
+        edges += gen.integers(0, m, 4096).tolist()
+    events = 2 * 4096 + 100
+    log = simulate(g, VANILLA, worst_cut_x0(g),
+                   SimConfig(seed=7, max_events=events, sample_every=1 << 62,
+                             record_events=True)).event_log
+    times = list(itertools.accumulate(dts))[:events]
+    assert log.times.tobytes() == np.array(times).tobytes()
+    assert log.edges.tolist() == edges[:events]
+
+
 @pytest.mark.parametrize("side, idle", [
     ([2.5, 2.5, 2.5], True),
     ([-0.0, -0.0], True),
@@ -461,6 +529,11 @@ def test_replay_states_selects_indices():
     assert np.array_equal(states[0], x0)
     assert np.array_equal(states[1], trace.states[1])
     assert np.array_equal(states[3], trace.final.values)
+    # no indices, as the firings of a vanilla run: no states, one column
+    # per vertex
+    none = replay_states(g, VANILLA, x0, trace.event_log, trace.epoch_event_idx.tolist())
+    assert none.shape == (0, g.n)
+    assert _side_metrics(none, g.n1).shape == (4, 0)
 
 
 def test_trace_jsonl_roundtrip(tmp_path):

@@ -272,7 +272,7 @@ def _stepped_states(g, rule, x0, log):
 
 @PROPERTY
 # runs long enough that sides fall idle, and that cross the blocks that
-# end after events 64, 192, 448 and 960
+# end after events 64, 128, 256, 512 and 1024
 @given(skip_cases(), st.integers(0, 2**32), st.integers(200, 1500))
 def test_idle_skip_equals_per_event_steps(case, seed, events):
     g, x0, start, name = case
