@@ -21,15 +21,16 @@ from .engine import (
     EventLog,
     SimTrace,
     StateVector,
+    _BLOCK,
+    _NOOP,
+    _lock_steps,
     _side_metrics,
     simulate,  # unused here; perfbench/tracer.py wraps analysis.simulate
     simulate_batch,
     sum_sq_dev,
 )
 from .graph import PartitionedGraph, SideGraph, side_subgraph
-from .rules import (
-    RuleCase, RuleDescriptor, compile_rule, compute_period, pair_update, resolve_gamma,
-)
+from .rules import RuleDescriptor, compile_rule, compute_period, resolve_gamma
 
 __all__ = [
     "Decomposition",
@@ -353,65 +354,41 @@ def epoch_operators(trace: SimTrace, graph, rule: RuleDescriptor) -> list[EpochO
     log = trace.event_log
     a = _composed(graph, rule, log.edges, log.cases, idx[:-1] + 1, np.diff(idx))
     n = graph.view.n
-    out = []
-    for k in range(len(idx) - 1):
-        matrix = a[k * n : (k + 1) * n]
-        out.append(EpochOperator(matrix, k + 1, spectral_norm(matrix)))
-    return out
-
-
-_STEPS = 256  # lockstep steps whose row indices are built at once
-_NOOP = int(RuleCase.NOOP)
+    return [EpochOperator(matrix, k + 1, spectral_norm(matrix))
+            for k, matrix in enumerate(a[:-2].reshape(-1, n, n))]
 
 
 def _composed(graph, rule: RuleDescriptor, edges: np.ndarray, cases: np.ndarray,
               starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The maps of K epochs composed in lockstep: epoch k is the events
-    ``starts[k]`` .. ``starts[k] + lengths[k] - 1`` of (``edges``,
-    ``cases``), and rows k*n .. k*n + n - 1 of the returned (K*n + 2, n)
-    stack hold its matrix, followed by two scratch rows.
-
-    Step s applies event s of every epoch: one gather, update and scatter
-    of rows apply the rule's intra-block case to all epochs at once,
-    with an epoch that has ended, or whose event is a no-op, updating the
-    scratch rows instead; Python applies any other case (the firings) to
-    its epoch's rows.  Per epoch, each row sees the updates
-    :func:`rules.pair_update` gives in event order, so the bits are those
-    of composing one epoch at a time.
+    """The maps of K epochs composed in lockstep by
+    :func:`engine._lock_steps`: epoch k is the events ``starts[k]`` ..
+    ``starts[k] + lengths[k] - 1`` of (``edges``, ``cases``), and rows
+    k*n .. k*n + n - 1 of the returned (K*n + 2, n) stack hold its
+    matrix, followed by two scratch rows.  An ended epoch, or an event
+    whose case is not the rule's intra case, points at the scratch rows;
+    the events of the latter that are not no-ops are the applier's fixes.
     """
     n, _, eu, ev, _ = graph.view
-    intra, _, _, _, alpha, gamma = compile_rule(graph, rule)
+    rc = compile_rule(graph, rule)
     K = len(lengths)
     a = np.zeros((K * n + 2, n))
     a[: K * n] = np.tile(np.eye(n), (K, 1))
     off = np.arange(0, K * n, n)
-    g = np.empty((2, K, n))
     steps = int(lengths.max(initial=0))
-    for lo in range(0, steps, _STEPS):
-        s = np.arange(lo, min(lo + _STEPS, steps))[:, None]
+    for lo in range(0, steps, _BLOCK):
+        s = np.arange(lo, min(lo + _BLOCK, steps))[:, None]
         live = s < lengths
         at = np.where(live, starts + s, 0)
         e = edges[at]
         c = np.where(live, cases[at], _NOOP)
         u = eu[e] + off
         v = ev[e] + off
-        lock = c == intra
+        lock = c == rc.intra
         # per step, the rows of x_u and of x_v in every epoch
         ix = np.stack((np.where(lock, u, K * n), np.where(lock, v, K * n + 1)), axis=1)
-        fs, fk = (live & ~lock & (c != _NOOP)).nonzero()
-        fixes = list(zip(fs.tolist(), u[fs, fk].tolist(), v[fs, fk].tolist(),
-                         c[fs, fk].tolist()))
-        fixes.append((len(s), 0, 0, 0))  # sentinel
-        f = 0
-        for i, rows in enumerate(ix):
-            a.take(rows, 0, g)
-            new = pair_update(intra, g[0], g[1], alpha, gamma)
-            # the mean is one array for both endpoints: the scatter broadcasts it
-            a[rows] = new[0] if new[0] is new[1] else new
-            while fixes[f][0] == i:
-                _, fu, fv, fc = fixes[f]
-                a[fu], a[fv] = pair_update(fc, a[fu], a[fv], alpha, gamma)
-                f += 1
+        fs, fk = (~lock & (c != _NOOP)).nonzero()
+        _lock_steps(a, ix, rc, zip(fs.tolist(), fk.tolist(), u[fs, fk].tolist(),
+                                   v[fs, fk].tolist(), c[fs, fk].tolist()))
     return a
 
 

@@ -119,7 +119,7 @@ class SimConfig:
             raise ValueError("max_time must be nonnegative")
         if self.max_events is None and self.max_time == math.inf:
             raise ValueError("max_time must be finite when max_events is unset")
-        for name, least in (("max_events", 0), ("sample_every", 1)):
+        for name, least in (("seed", 0), ("max_events", 0), ("sample_every", 1)):
             value = getattr(self, name)
             if value is None and name == "max_events":
                 continue
@@ -245,12 +245,17 @@ def sum_sq_dev(x: list[float]) -> float:
     return s
 
 
-def _start(graph, x0) -> tuple[list[float], float]:
-    """x0 as a list of floats checked against ``graph``, and its S0."""
+def _values(graph, x0) -> list[float]:
+    """x0 as a list of floats, one per vertex of ``graph``."""
     x = np.asarray(x0, dtype=float)
     if x.shape != (graph.view.n,):
         raise ValueError(f"x0 has shape {x.shape}; the graph needs length {graph.view.n}")
-    x = x.tolist()
+    return x.tolist()
+
+
+def _start(graph, x0) -> tuple[list[float], float]:
+    """x0 as a list of floats checked against ``graph``, and its S0."""
+    x = _values(graph, x0)
     ss = sum_sq_dev(x)
     if len(graph.view.eu) < 1:
         raise ValueError("graph has no edges")
@@ -836,14 +841,11 @@ def simulate_batch(
     stop_at_crossing=stop_at_crossing)``; a run that never crossed has a
     nan first crossing.  x0 must have nonzero variance.
 
-    Up to :data:`_GROUP` runs advance in lockstep, one event each per
-    step, on one flat array of their values, a :class:`_Clocks` block at
-    a time; per block, numpy gives every run's endpoints.  Per step, one
-    gather, one update and one scatter apply the rule's intra-block case
-    to every run; a no-op event updates two scratch slots instead, and
-    Python redoes the rare firings.  Then the variance detector runs over
-    the block, and runs that met their time cap, or their first crossing
-    when they stop there, leave the group.
+    Up to :data:`_GROUP` runs advance in lockstep on one flat array of
+    their values, a :class:`_Clocks` block at a time, through the applier
+    :func:`_lock_steps`.  Then the variance detector runs over the block,
+    and runs that met their time cap, or their first crossing when they
+    stop there, leave the group.
     """
     x, ss = _start(graph, x0)
     if ss == 0.0:
@@ -867,67 +869,31 @@ def _lockstep(graph, rule, x, ss, seeds, max_time, stop, first, last) -> None:
     n, _, eu, ev, kind = graph.view
     R = len(seeds)
     clocks = _Clocks(graph, rule, seeds, _BLOCK, max_time)
-    intra, _, _, _, alpha, gamma = clocks.rc
     # Row r's values sit at w*r .. w*r+n-1, followed by two scratch slots:
     # a no-op edge averages those instead of its endpoints.
     w = n + 2
     noop = clocks.kind_case.take(kind) == _NOOP
     step_u = np.where(noop, n, eu)
     step_v = np.where(noop, n + 1, ev)
-    # values gathered per step: x_u and x_v, and for a convex blend also
-    # x_v and x_u, which one multiply by [alpha; alpha; beta; beta] and one
-    # add turn into the new x_u and x_v
-    vanilla = intra == RuleCase.VANILLA
-    k = 2 if vanilla else 4
     rows = np.arange(R)  # the run of each row still in the group
     X = np.zeros((R, w))
     X[:, :n] = x
     X = X.ravel()
-    det = _Detector(ss, R, alpha, gamma, stop)
-    # per-block buffers: the positions in X and the values gathered at each
-    # step
-    idx_buf = np.empty(_BLOCK * k * R, dtype=np.intp)
-    g_buf = np.empty(_BLOCK * k * R)
-    d_buf = np.empty(_BLOCK * R)
+    det = _Detector(ss, R, clocks.rc.alpha, clocks.rc.gamma, stop)
+    g_buf = np.empty(_BLOCK * 4 * R)  # the values gathered at each step of a block
     while R:
         times, e, _, cases, (cs, cr), ends = clocks.block()
         b = len(times)
         off = np.arange(0, R * w, w)
+        ix = np.empty((b, 2, R), dtype=np.intp)
+        np.add(step_u.take(e), off, out=ix[:, 0])
+        np.add(step_v.take(e), off, out=ix[:, 1])
+        # the firings, on the cut edge, whose default case is a no-op
         fire_e = e[cs, cr]
-        fixes = sorted(zip(cs.tolist(), cr.tolist(), (eu[fire_e] + off[cr]).tolist(),
-                           (ev[fire_e] + off[cr]).tolist()))
-        fixes.append((b, 0, 0, 0))  # sentinel
-        idx = idx_buf[: b * k * R].reshape(b, k, R)
-        np.add(step_u.take(e), off, out=idx[:, 0])
-        np.add(step_v.take(e), off, out=idx[:, 1])
-        if not vanilla:
-            idx[:, 2] = idx[:, 1]
-            idx[:, 3] = idx[:, 0]
-            blend = np.repeat([alpha, alpha, 1.0 - alpha, 1.0 - alpha], R).reshape(4, R)
-        half = np.full(R, 0.5)
-        g = g_buf[: b * k * R].reshape(b, k, R)
-        nxt, f = fixes[0][0], 0
-        for i, (ix, gi) in enumerate(zip(idx, g)):
-            X.take(ix, None, gi, "wrap")
-            if vanilla:
-                h = gi[0] + gi[1]
-                h *= half
-                X.put(ix, h)  # the mean, once for every u and once for every v
-            else:
-                h = gi * blend
-                X.put(ix[:2], h[:2] + h[2:])
-            while i == nxt:
-                # a firing on the cut edge, whose default case is a no-op:
-                # its endpoints still hold their values from before the step
-                _, r, u, v = fixes[f]
-                gi[0, r] = xu = X.item(u)
-                gi[1, r] = xv = X.item(v)
-                X[u], X[v] = pair_update(_NONCONVEX, xu, xv, alpha, gamma)
-                f += 1
-                nxt = fixes[f][0]
-        d = d_buf[: b * R].reshape(b, R)
-        np.subtract(g[:, 1], g[:, 0], out=d)
-        crossed = det.block(d, cases, times, ends) >= 0
+        fixes = zip(cs.tolist(), cr.tolist(), (eu[fire_e] + off[cr]).tolist(),
+                    (ev[fire_e] + off[cr]).tolist(), repeat(_NONCONVEX))
+        g = _lock_steps(X, ix, clocks.rc, fixes, g_buf)
+        crossed = det.block(g[:, 1] - g[:, 0], cases, times, ends) >= 0
         done = ends < b
         if stop:
             done |= crossed
@@ -940,6 +906,61 @@ def _lockstep(graph, rule, x, ss, seeds, max_time, stop, first, last) -> None:
             clocks.keep(keep)
             X = X.reshape(R, w)[keep].ravel()
             R = len(rows)
+
+
+def _lock_steps(stack, ix, rc, fixes, g_buf=None) -> np.ndarray | None:
+    """Apply b steps of events in lockstep to W columns of ``stack``: the
+    values of runs (shape (S,), :func:`simulate_batch`) or the matrix rows
+    of epochs (shape (S, n), ``analysis.epoch_operators``).
+
+    ``ix`` (b, 2, W) gives per step the stack positions of each column's
+    x_u and x_v.  Per step, one gather, one update and one scatter apply
+    the intra case of the rule ``rc`` to every column: a mean as
+    (x_u + x_v) * 0.5, or a blend as x_u, x_v, x_v, x_u times alpha,
+    alpha, beta, beta with its pairs of rows added.  A column whose event
+    has another case points at scratch positions, and ``fixes`` lists
+    those events but no-ops as (step, column, u, v, case), which Python
+    applies after their step with :func:`rules.pair_update`.  So each
+    column gets the bits of ``pair_update`` applied in event order.
+
+    With ``g_buf`` (4*b*W floats per stack row), returns a (b, k, W, ...)
+    view of it: each step's gathered values before the update, k = 2 (4
+    for a blend), rows 0 and 1 holding x_u and x_v, a fix's included.
+    Without, the steps share one buffer and None is returned.
+    """
+    b, _, W = ix.shape
+    row = (W,) + stack.shape[1:]  # the shape of one gathered x_u or x_v
+    vanilla = rc.intra == _VANILLA
+    if vanilla:
+        half = np.full(row, 0.5)
+    else:
+        ix = np.concatenate((ix, ix[:, ::-1]), axis=1)  # C-contiguous rows
+        blend = np.multiply.outer([rc.alpha] * 2 + [1.0 - rc.alpha] * 2, np.ones(row))
+    shape = (ix.shape[1],) + row
+    if g_buf is None:
+        g = repeat(np.empty(shape))
+    else:
+        g = g_buf[: b * math.prod(shape)].reshape(b, *shape)
+    scatter = stack.put if stack.ndim == 1 else stack.__setitem__
+    fixes = [*sorted(fixes), (b,)]  # and a sentinel
+    nxt, f = fixes[0][0], 0
+    for i, (rows, gi) in enumerate(zip(ix, g)):
+        stack.take(rows, 0, gi, "wrap")
+        if vanilla:
+            h = gi[0] + gi[1]
+            h *= half
+            scatter(rows, h)  # the mean, once for every u and once for every v
+        else:
+            h = gi * blend
+            scatter(rows[:2], h[:2] + h[2:])
+        while i == nxt:
+            _, c, u, v, case = fixes[f]
+            gi[0, c] = xu = stack[u]
+            gi[1, c] = xv = stack[v]
+            stack[u], stack[v] = pair_update(case, xu, xv, rc.alpha, rc.gamma)
+            f += 1
+            nxt = fixes[f][0]
+    return None if g_buf is None else g
 
 
 def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
@@ -964,7 +985,7 @@ def replay_states(
         raise IndexError("event index beyond the recorded log")
     rc = compile_rule(graph, rule)
     _, n1, eu, ev, kind = graph.view
-    x = np.asarray(x0, dtype=float).tolist()
+    x = _values(graph, x0)
     out: list[list[float]] = []
     ds: list[float] = []  # each event's d, unused here
     last = wants[-1] + 1 if wants else 0  # events to apply

@@ -438,6 +438,24 @@ def test_epoch_operator_convex_matches_one_event_at_a_time():
     assert epoch_operator(g, rule, log).matrix.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("rule", [
+    RuleDescriptor("algA", period=2),
+    RuleDescriptor("convex", alpha=0.3),
+])
+def test_epoch_operator_mixed_cases_match_one_event_at_a_time(rule):
+    # a hand-built log of more than one lockstep block, whose cases mix
+    # the rule's intra case with every other, no-ops included: the cases
+    # that are not the intra case are applied one by one after their step
+    g = build_barbell(3, 5)
+    r = np.random.default_rng(5)
+    edges = r.integers(0, len(g.view.eu), 700)
+    cases = r.choice([int(c) for c in RuleCase], 700)
+    assert set(cases.tolist()) == {0, 1, 2, 3}
+    events = [(0.0, e, RuleCase(c)) for e, c in zip(edges.tolist(), cases.tolist())]
+    want = _oracle(g, rule, edges, cases)
+    assert epoch_operator(g, rule, events).matrix.tobytes() == want.tobytes()
+
+
 PIN_OPERATORS = "b52fc82a254bbc697a89554bfa31a8437e21ee7b7d0e3a8896050b199041c21c"
 
 

@@ -391,6 +391,18 @@ def test_config_validation():
     g = build_barbell(2, 2)
     trace = simulate(g, VANILLA, worst_cut_x0(g), cfg)
     assert trace.n_events == 10 and trace.meta["sample_every"] == 3
+    # the seed must be a nonnegative integer; the error names it
+    for bad in (1.5, True, -1, "3", None):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(seed=bad, max_events=10)
+    # a numpy integer seed is stored as a Python int, so the trace
+    # metadata stays JSON
+    cfg = SimConfig(seed=np.int64(4), max_events=10)
+    assert type(cfg.seed) is int
+    trace = simulate(g, VANILLA, worst_cut_x0(g), cfg)
+    assert json.loads(json.dumps(trace.meta))["seed"] == 4
+    assert trace.final.values.tobytes() == simulate(
+        g, VANILLA, worst_cut_x0(g), SimConfig(seed=4, max_events=10)).final.values.tobytes()
 
 
 def test_x0_length_checked():
@@ -534,6 +546,13 @@ def test_replay_states_selects_indices():
     none = replay_states(g, VANILLA, x0, trace.event_log, trace.epoch_event_idx.tolist())
     assert none.shape == (0, g.n)
     assert _side_metrics(none, g.n1).shape == (4, 0)
+    # x0 is checked against the graph, as simulate checks it, even where
+    # the selected events never reach the missing vertex
+    for bad in (x0[:-1], np.stack([x0, x0])):
+        with pytest.raises(ValueError, match="x0 has shape"):
+            replay_states(g, VANILLA, bad, trace.event_log, [-1, 0])
+        with pytest.raises(ValueError, match="x0 has shape"):
+            replay(g, VANILLA, bad, trace.event_log)
 
 
 def test_trace_jsonl_roundtrip(tmp_path):

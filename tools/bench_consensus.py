@@ -23,7 +23,7 @@ this checkout).  Prints one JSON object with three parts:
 - ``perfbench``: per workload and seed, ``--pairs`` interleaved runs of
   ``perfbench/run.py --trace 0 --seconds S`` on each tree: every run's
   end-to-end metrics, their medians, the interquartile range of the old
-  tree's runs, and how many pairs the new tree won.
+  tree's runs (null for one pair), and how many pairs the new tree won.
 """
 
 import argparse
@@ -137,14 +137,16 @@ def pairs(n: int, old, new) -> tuple[list, list]:
 
 
 def summary(olds: list, news: list, better: str = "lower") -> dict:
-    q = statistics.quantiles(olds, n=4)
+    """Medians, the old runs' interquartile range (None for one run) and
+    the new tree's wins."""
+    q = statistics.quantiles(olds, n=4) if len(olds) > 1 else None
     wins = sum((b < a) if better == "lower" else (b > a) for a, b in zip(olds, news))
     return {
         "old": [round(v, 5) for v in olds],
         "new": [round(v, 5) for v in news],
         "old_median": round(statistics.median(olds), 5),
         "new_median": round(statistics.median(news), 5),
-        "old_iqr": round(q[2] - q[0], 5),
+        "old_iqr": round(q[2] - q[0], 5) if q else None,
         "new_over_old": round(statistics.median(news) / statistics.median(olds), 4),
         "new_wins": wins,
     }
@@ -159,6 +161,8 @@ def main() -> None:
     p.add_argument("--seconds", type=float, default=5.0)
     p.add_argument("--workloads", default="trace_epochs,scheme_sweep")
     args = p.parse_args()
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
     seeds = [int(s) for s in args.seeds.split(",")]
     out = {"pairs": args.pairs, "seconds": args.seconds}
 

@@ -97,6 +97,8 @@ def main() -> None:
     p.add_argument("--crossover", action="store_true",
                    help="time one tree's sampling paths against each other")
     args = p.parse_args()
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
     if args.crossover:
         print(json.dumps(run(args.old, args.events, CROSSOVER), indent=1))
         return
