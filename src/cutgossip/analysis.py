@@ -23,6 +23,7 @@ from .engine import (
     StateVector,
     _BLOCK,
     _NOOP,
+    _integer,
     _lock_steps,
     _side_metrics,
     simulate,  # unused here; perfbench/tracer.py wraps analysis.simulate
@@ -210,6 +211,7 @@ def estimate_T_av(
     """
     if runs < 30:
         raise ValueError("need at least 30 runs")
+    seed = _integer("seed", seed)
     if not horizon > 0:
         raise ValueError("horizon must be positive")
     if horizon == math.inf:

@@ -15,12 +15,13 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, compress, repeat
+from operator import itemgetter
 
 import numpy as np
 
 from .graph import KIND_CROSS, KIND_CUT
-from .rules import RuleCase, RuleDescriptor, compile_rule, pair_update
+from .rules import CompiledRule, RuleCase, RuleDescriptor, compile_rule, pair_update
 
 __all__ = [
     "StateVector",
@@ -60,15 +61,7 @@ _VANILLA = int(RuleCase.VANILLA)
 _CONVEX = int(RuleCase.CONVEX)
 _NONCONVEX = int(RuleCase.NONCONVEX)
 _NOOP = int(RuleCase.NOOP)
-# what _pair_updates makes of an event, per edge kind (rows) and case
-# (NOOP, VANILLA, CONVEX, NONCONVEX): the side of an intra-side vanilla
-# event, 3 for an update across the cut, 2 for any other event
-_CODES = np.array([
-    [2, 0, 2, 2],  # KIND_E1: a vanilla event is on side 0
-    [2, 1, 2, 2],  # KIND_E2: a vanilla event is on side 1
-    [2, 3, 3, 3],  # KIND_CROSS: any case but a no-op updates across the cut
-    [2, 3, 3, 3],  # KIND_CUT
-])
+_CUT_BIT = 1 << KIND_CUT  # of the cut edge's row in a compiled rule's table
 
 # The averaging time uses epsilon = 1/e: a run has settled once
 # var X(t) / var X(0) <= epsilon^2 = e^-2.
@@ -121,11 +114,16 @@ class SimConfig:
             raise ValueError("max_time must be finite when max_events is unset")
         for name, least in (("seed", 0), ("max_events", 0), ("sample_every", 1)):
             value = getattr(self, name)
-            if value is None and name == "max_events":
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a numpy integer too
+            if value is not None or name != "max_events":
+                object.__setattr__(self, name, _integer(name, value, least))
+
+
+def _integer(name: str, value, least: int = 0) -> int:
+    """An int or numpy integer (not a bool) of at least ``least``, as an
+    int; otherwise a ValueError naming it ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -262,7 +260,7 @@ def _start(graph, x0) -> tuple[list[float], float]:
     return x, ss
 
 
-_NO_FIRINGS = (np.empty(0, dtype=np.intp),) * 2
+_NO_TICKS = (np.empty(0, dtype=np.intp),) * 2
 
 
 class _Clocks:
@@ -292,14 +290,16 @@ class _Clocks:
         self.edges = np.empty((R, _CHUNK), dtype=np.int32)
         self.t = np.zeros(R)
         self.cut = np.zeros(R, dtype=np.int64)  # per run, cut ticks of a firing rule
+        self.find_cuts = rc.phase >= 0 or R == 1  # for firings, or a traced run
         self.events = 0  # per run, so far
 
     def block(self):
         """The next block of b events of every run, as (b, R) arrays of
         event times, edges, edge kinds and case codes, in which firings
-        are NONCONVEX; the firings as (positions, runs), grouped by run and
-        in event order; and per run the count of its events at or before
-        ``max_time`` (b if there is no cap)."""
+        are NONCONVEX; the cut ticks (if ``find_cuts``) and the firings,
+        each as (positions, runs), grouped by run and in event order; and
+        per run the count of its events at or before ``max_time`` (b if
+        there is no cap)."""
         R = len(self.rngs)
         lo = self.events % _CHUNK
         if not lo:
@@ -320,10 +320,12 @@ class _Clocks:
         e = self.edges[:R, lo:hi].astype(np.intp)
         kinds = self.kind.take(e)
         cases = self.kind_case.take(kinds)
-        fired = _NO_FIRINGS
-        if self.rc.phase >= 0:
+        cuts = fired = _NO_TICKS
+        if self.find_cuts:
             flat = (kinds == KIND_CUT).ravel().nonzero()[0]  # grouped by run
             runs, at = np.divmod(flat, b)
+            cuts = at, runs
+        if self.rc.phase >= 0:
             # each cut tick's count k within its run
             k = np.arange(1, len(runs) + 1) - runs.searchsorted(runs) + self.cut[runs]
             self.cut += np.bincount(runs, minlength=R)
@@ -333,7 +335,7 @@ class _Clocks:
         ends = np.full(R, b)
         for r in (self.t > self.max_time).nonzero()[0].tolist():
             ends[r] = times[r].searchsorted(self.max_time, side="right")
-        return times.T, e.T, kinds.T, cases.T, fired, ends
+        return times.T, e.T, kinds.T, cases.T, cuts, fired, ends
 
     def keep(self, runs: np.ndarray) -> None:
         """Keep only the runs where the mask ``runs`` is set, with the
@@ -435,89 +437,90 @@ def _idle(x: list, lo: int, hi: int) -> bool:
         a != 0.0 or len({math.copysign(1.0, v) for v in side}) == 1)
 
 
-def _pair_updates(x: list, U, V, C, alpha: float, gamma: float, out: list,
-                  writes: bool = False, cuts=(), copies: list | None = None,
-                  skip: tuple | None = None, n1: int = 0) -> np.ndarray | None:
-    """Apply the events (U[i], V[i], C[i]) in order to the list ``x``, with
-    :func:`rules.pair_update` inlined on Python floats.
+def _pair_updates(x: list, e: np.ndarray, kinds: np.ndarray, cases: np.ndarray,
+                  rc: CompiledRule, n1: int, out: list, writes: bool = False,
+                  cuts=(), copies: list | None = None) -> np.ndarray | None:
+    """Apply in order to the list ``x`` the events on the edges ``e``, of
+    kinds ``kinds`` and with case codes ``cases``, taking each edge's row
+    (u, v, 1 << kind, default case) from the table ``rc._edges`` at once.
 
     Appends to ``out`` each applied event's d = x_v - x_u before its update
     and, with ``writes``, the new x_u and x_v after it; appends to
     ``copies`` a copy of x just after each event index in ``cuts`` (sorted,
     -1 for the start).
 
-    With ``skip``, the events' edge kinds and case codes as two arrays,
-    and the first side's size ``n1``, the intra-side vanilla events of an
-    idle side (see :func:`_idle`) are not applied until the next update
-    across the cut (a cross event whose case is not a no-op).
-    Each such event would give d = 0 and leave x as it is bit for bit, so
-    it changes neither x nor the variance detector's S.  A side that still
-    moves is checked again every :data:`_CHECK` events.  Returns the
-    positions of the events applied, or None when that is all of them.
+    An event across the cut, or whose case is not the rule's intra case,
+    is a stop, applied alone (a no-op or a firing by
+    :func:`rules.pair_update`).  Between stops, under a vanilla intra
+    case, the events of an idle side (see :func:`_idle`) are skipped:
+    each would give d = 0 and leave x as it is bit for bit.  A side that
+    still moves is checked again every :data:`_CHECK` events, and both
+    after a stop that is not a no-op.  Returns the positions of the
+    events applied, or None when no side was idle.
     """
+    alpha, gamma = rc.alpha, rc.gamma
     beta = 1.0 - alpha
+    skip = rc.intra == _VANILLA
     push = out.append
-    end = len(U)
-    n = len(x)
-    stops = [p + 1 for p in cuts]
-    events = zip(U, V, C)
-    codes = None  # per event, from _CODES, once a side is idle
-    spans = []  # (lo, hi, idle sides) of the stretches run with an idle side
-    pos = k = 0
-    while pos < end or k < len(stops):
-        hi = stops[k] if k < len(stops) else end
-        idle = 0  # bit s set: side s is idle
-        if skip is not None and pos < end:
-            # comparing a side's end values first keeps the check cheap
-            # while the side still moves
-            if x[n1 - 1] == x[0] and _idle(x, 0, n1):
-                idle = 1
-            if n1 < n and x[-1] == x[n1] and _idle(x, n1, n):
-                idle |= 2
-            if idle != 3 and pos + _CHECK < hi:
-                hi = pos + _CHECK
-            if idle:
-                if codes is None:
-                    kinds, cases = skip
-                    codes = _CODES.take(kinds * 4 + cases)
-                    updates = (codes == 3).nonzero()[0].tolist()
-                i = bisect_left(updates, pos)
-                if i < len(updates) and updates[i] < hi:
-                    hi = updates[i] + 1
-        if idle:
-            at = (((idle >> codes[pos:hi]) & 1 == 0).nonzero()[0] + pos).tolist()
-            todo = zip(map(U.__getitem__, at), map(V.__getitem__, at), map(C.__getitem__, at))
-            spans.append((pos, hi, idle))
-            events = zip(islice(U, hi, None), islice(V, hi, None), islice(C, hi, None))
+    table = rc._edges.take(e).tolist()
+    end = len(table)
+    at = ((kinds >= KIND_CROSS) | (cases != rc.intra)).nonzero()[0]
+    stops = at.tolist() + [end]
+    stop_cases = cases[at].tolist()
+    copy_at = [p + 1 for p in cuts] + [end + 1]
+    spans = []  # (lo, hi, idle) of the stretches run with an idle side
+    idle = 0  # bit 1 set: side one is idle (its edges' rows hold 1); bit 2: side two
+    pos = i = k = 0
+    while True:
+        while copy_at[k] == pos:
+            copies.append(x[:])
+            k += 1
+        if pos == end:
+            break
+        if stops[i] == pos:
+            u, v, _, _ = table[pos]
+            c = stop_cases[i]
+            rows = [(u, v, 0, c)]
+            if c != _NOOP:
+                idle = 0
+            i += 1
+            hi = pos + 1
         else:
-            todo = islice(events, hi - pos)
-        for u, v, c in todo:
+            hi = min(stops[i], copy_at[k])
+            if skip and idle != 3:
+                # comparing a side's end values first keeps the check cheap
+                # while the side moves; a one-side graph has no second side
+                idle = 1 if x[n1 - 1] == x[0] and _idle(x, 0, n1) else 0
+                if n1 == len(x) or x[-1] == x[n1] and _idle(x, n1, len(x)):
+                    idle |= 2
+                if idle != 3 and pos + _CHECK < hi:
+                    hi = pos + _CHECK
+            rows = table[pos:hi] if idle != 3 else ()
+            if idle:
+                spans.append((pos, hi, idle))
+                # the rows whose side bit is not set in idle, at C speed
+                rows = compress(rows, map((~idle).__and__, map(itemgetter(2), rows)))
+        for u, v, _, c in rows:
             xu = x[u]
             xv = x[v]
-            d = xv - xu
             if c == _VANILLA:
                 x[u] = x[v] = 0.5 * (xu + xv)
             elif c == _CONVEX:
                 x[u] = alpha * xu + beta * xv
                 x[v] = alpha * xv + beta * xu
-            elif c:
-                tr = gamma * d
-                x[u] = xu + tr
-                x[v] = xv - tr
-            push(d)
+            else:
+                x[u], x[v] = pair_update(c, xu, xv, alpha, gamma)
+            push(xv - xu)
             if writes:
                 push(x[u])
                 push(x[v])
         pos = hi
-        while k < len(stops) and stops[k] == pos:
-            copies.append(x[:])
-            k += 1
     if not spans:
         return None
-    idle_at = np.zeros(end, dtype=codes.dtype)
+    idle_at = np.zeros(end, dtype=np.int8)
     for lo, hi, idle in spans:
         idle_at[lo:hi] = idle
-    return ((idle_at >> codes) & 1 == 0).nonzero()[0]
+    return ((idle_at >> kinds) & 1 == 0).nonzero()[0]
 
 
 def _block_states(start: np.ndarray, U: np.ndarray, V: np.ndarray,
@@ -582,18 +585,15 @@ def step(
     the cut transfer leave it unchanged.  The state's clock is not advanced
     here; waiting times come from :func:`next_event`.
     """
-    _, _, eu, ev, kind = graph.view
     rc = compile_rule(graph, rule)
-    # Python ints: numpy scalars compare and index values more slowly
-    u, v, k = eu.item(edge), ev.item(edge), kind.item(edge)
-    case = rc.intra if k < KIND_CROSS else rc.cross
-    if k == KIND_CUT and rc.phase >= 0:
+    u, v, bit, case = rc._edges[edge]
+    if bit == _CUT_BIT and rc.phase >= 0:
         cut_ticks += 1
         if rc.fires(cut_ticks):
-            case = RuleCase.NONCONVEX
+            case = _NONCONVEX
     values = state.values.copy()
     values[u], values[v] = pair_update(case, values[u], values[v], rc.alpha, rc.gamma)
-    return StateVector(values, state.time, state.initial_sum), RuleCase(case), cut_ticks
+    return StateVector(values, state.time, state.initial_sum), _CASES[case], cut_ticks
 
 
 def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
@@ -605,24 +605,22 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
 
     Its clock is the planner :class:`_Clocks` over one run, in blocks of
     up to 4096 events; a short run converts little of its chunk to Python
-    objects.  Per block, numpy gives the ``max_events`` cut, endpoints,
-    sample points and tick counters; a Python loop applies the pair
-    updates in order; then the variance detector runs over the block.
-    The loop copies the values at each sample point, except in a dense
-    block (see :data:`_DENSE`), where it logs each event's writes and
-    numpy rebuilds the sampled states from them after the loop.  Under a
-    rule whose intra-side case is vanilla, the loop skips the events of a
-    side at exact consensus, which change nothing (see
-    :func:`_pair_updates`), and the detector sees only the others.
+    objects.  Per block, numpy gives the ``max_events`` cut, sample
+    points and tick counters; the loop :func:`_pair_updates` applies the
+    pair updates in order, except those of a side at exact consensus,
+    which change nothing; then the variance detector runs over the
+    events applied.  The loop copies the values at each sample point,
+    except in a dense block (see :data:`_DENSE`), where it logs each
+    event's writes and numpy rebuilds the sampled states from them.
     """
     n, n1, eu, ev, _ = graph.view
     x, ss = _start(graph, x0)
     initial_sum = _fsum(x)
     clocks = _Clocks(graph, rule, [config.seed], _CHUNK, config.max_time)
-    intra, _, _, _, alpha, gamma = clocks.rc
+    rc = clocks.rc
 
     # without variance the ratio is undefined and there is no detector
-    det = _Detector(ss, 1, alpha, gamma, config.stop_at_crossing) if ss > 0.0 else None
+    det = _Detector(ss, 1, rc.alpha, rc.gamma, config.stop_at_crossing) if ss > 0.0 else None
 
     # the trace's sample columns, as arrays of consecutive samples
     s_times: list[np.ndarray] = []
@@ -678,7 +676,7 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     sample_every = config.sample_every
     stop = max_events == 0 or config.max_time == 0.0
     while not stop:
-        times, e, kinds, cases, (fired, _), ends = clocks.block()
+        times, e, kinds, cases, (cut_at, _), (fired, _), ends = clocks.block()
         # the one run's column, cut at max_events or at max_time
         times, e, kinds, cases = times[:, 0], e[:, 0], kinds[:, 0], cases[:, 0]
         end = len(e)
@@ -690,7 +688,6 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
             end, timed_out, stop = int(ends[0]), True, True
         e, kinds, cases = e[:end], kinds[:end], cases[:end]
         fired = fired[: fired.searchsorted(end)]
-        cut_at = (kinds == KIND_CUT).nonzero()[0]
         # samples: every firing, and every sample_every-th event of the run
         points = np.arange((-events - 1) % sample_every, end, sample_every)
         if fired.size:
@@ -698,22 +695,15 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
             sampled[points] = True
             sampled[fired] = True
             points = sampled.nonzero()[0]
-        Ue = eu[e]
-        Ve = ev[e]
-        U = Ue.tolist()
-        V = Ve.tolist()
-        C = cases.tolist()
         # the loop applies only the events that can change x (``live``,
         # None for all of them); the detector sees only those
-        skip = (kinds, cases) if intra == _VANILLA else None
         dense = 0 < end <= _DENSE * len(points)
         if dense:
             # no samples mid-loop: the loop logs each event's writes,
             # from which numpy rebuilds the sampled states below
             start = np.array(x)
             flat: list[float] = []
-            live = _pair_updates(x, U, V, C, alpha, gamma, flat, writes=True,
-                                 skip=skip, n1=n1)
+            live = _pair_updates(x, e, kinds, cases, rc, n1, flat, writes=True)
             logged = np.fromiter(flat, np.float64, len(flat)).reshape(-1, 3)  # d, x_u, x_v
             d = logged[:, :1].copy()
         else:
@@ -722,8 +712,8 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
             start = (np.array(x) if config.stop_at_crossing and det is not None
                      and math.isnan(det.first[0]) else None)
             ds: list[float] = []
-            live = _pair_updates(x, U, V, C, alpha, gamma, ds, cuts=points.tolist(),
-                                 copies=rows, skip=skip, n1=n1)
+            live = _pair_updates(x, e, kinds, cases, rc, n1, ds, cuts=points.tolist(),
+                                 copies=rows)
             d = np.fromiter(ds, np.float64, len(ds))[:, None]
         if det is not None and len(d):
             # per block, in numpy: the variance detector
@@ -736,16 +726,17 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
                 if j + 1 < end:
                     end = j + 1
                     x[:] = start.tolist()
-                    _pair_updates(x, U[:end], V[:end], C[:end], alpha, gamma, [])
+                    _pair_updates(x, e[:end], kinds[:end], cases[:end], rc, n1, [])
         k = int(points.searchsorted(end))  # sample points up to the stop
         if dense:
-            last_at = points[:k]
+            last_at, applied = points[:k], e
             if live is not None:
                 # a point's state is the one after the last event
                 # applied at or before it
                 last_at = live.searchsorted(last_at, side="right") - 1
-                Ue, Ve = Ue[live], Ve[live]
-            for states in _block_states(start, Ue, Ve, logged[:, 1:], last_at):
+                applied = e[live]
+            for states in _block_states(start, eu[applied], ev[applied], logged[:, 1:],
+                                        last_at):
                 measure(states)
         else:
             del rows[len(rows) - len(points) + k:]
@@ -852,7 +843,7 @@ def simulate_batch(
         raise ValueError("x0 has zero variance; the ratio is undefined")
     if not 0 <= max_time < math.inf:
         raise ValueError("max_time must be finite and nonnegative")
-    seeds = list(seeds)
+    seeds = [_integer(f"seeds[{i}]", s) for i, s in enumerate(seeds)]
     first = np.full(len(seeds), np.nan)
     last = np.full(len(seeds), np.nan)
     groups = max(1, -(-len(seeds) // _GROUP))  # of near-equal size
@@ -882,7 +873,7 @@ def _lockstep(graph, rule, x, ss, seeds, max_time, stop, first, last) -> None:
     det = _Detector(ss, R, clocks.rc.alpha, clocks.rc.gamma, stop)
     g_buf = np.empty(_BLOCK * 4 * R)  # the values gathered at each step of a block
     while R:
-        times, e, _, cases, (cs, cr), ends = clocks.block()
+        times, e, _, cases, _, (cs, cr), ends = clocks.block()
         b = len(times)
         off = np.arange(0, R * w, w)
         ix = np.empty((b, 2, R), dtype=np.intp)
@@ -984,7 +975,7 @@ def replay_states(
     if wants and not (-1 <= wants[0] and wants[-1] < len(event_log)):
         raise IndexError("event index beyond the recorded log")
     rc = compile_rule(graph, rule)
-    _, n1, eu, ev, kind = graph.view
+    n1, kind = graph.view.n1, graph.view.kind
     x = _values(graph, x0)
     out: list[list[float]] = []
     ds: list[float] = []  # each event's d, unused here
@@ -995,9 +986,8 @@ def replay_states(
         e = event_log.edges[lo:hi]
         cases = event_log.cases[lo:hi]
         cuts = wants[bisect_left(wants, lo if lo else -1) : bisect_left(wants, hi)]
-        _pair_updates(x, eu[e].tolist(), ev[e].tolist(), cases.tolist(), rc.alpha, rc.gamma,
-                      ds, cuts=[w - lo for w in cuts], copies=out,
-                      skip=(kind[e], cases) if rc.intra == _VANILLA else None, n1=n1)
+        _pair_updates(x, e, kind.take(e), cases, rc, n1, ds, cuts=[w - lo for w in cuts],
+                      copies=out)
         ds.clear()
     return np.array(out).reshape(len(out), len(x))  # (0, n) when nothing is selected
 

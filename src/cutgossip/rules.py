@@ -11,9 +11,10 @@ run which case each edge kind gets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import NamedTuple
+
+import numpy as np
 
 from .graph import PartitionedGraph
 
@@ -216,12 +217,15 @@ def compute_period(t_van1: float, t_van2: float, n: float, c_const: float) -> in
     return max(1, math.ceil(c_const * (t_van1 + t_van2) * math.log(n)))
 
 
-class CompiledRule(NamedTuple):
+@dataclass(frozen=True)
+class CompiledRule:
     """A rule resolved against one graph, in the form the event loop reads.
 
     Intra-block ticks apply ``intra`` and cross ticks ``cross``, except that
     the k-th cut-edge tick (k from 1) fires the amplified transfer when
     k % period == phase; phase -1 never fires.  Case codes are plain ints.
+    ``_edges`` holds per edge of the graph's view the tuple (u, v, 1 << kind,
+    default case), as an object array that a block of edges indexes at once.
     """
 
     intra: int
@@ -230,6 +234,7 @@ class CompiledRule(NamedTuple):
     phase: int
     alpha: float
     gamma: float
+    _edges: np.ndarray = field(compare=False, repr=False)  # follows from the graph
 
     def fires(self, k):
         """Whether the k-th cut tick (an int or an array of them) fires."""
@@ -243,19 +248,23 @@ def compile_rule(graph, rule: RuleDescriptor) -> CompiledRule:
     memo = graph.compiled_rules
     compiled = memo.get(rule)
     if compiled is None:
-        compiled = memo[rule] = _compile_rule(graph, rule)
+        head = _compile_rule(graph, rule)
+        _, _, eu, ev, kind = graph.view
+        default = np.repeat(head[:2], 2)  # per KIND_*: intra, intra, cross, cross
+        rows = zip(eu.tolist(), ev.tolist(), (1 << kind).tolist(), default.take(kind).tolist())
+        compiled = memo[rule] = CompiledRule(*head, np.fromiter(rows, object, len(kind)))
     return compiled
 
 
-def _compile_rule(graph, rule: RuleDescriptor) -> CompiledRule:
+def _compile_rule(graph, rule: RuleDescriptor) -> tuple:
     if rule.kind == "vanilla":
-        return CompiledRule(_VANILLA, _VANILLA, 1, -1, 0.0, 0.0)
+        return _VANILLA, _VANILLA, 1, -1, 0.0, 0.0
     if rule.kind == "convex":
-        return CompiledRule(_CONVEX, _CONVEX, 1, -1, float(rule.alpha), 0.0)
+        return _CONVEX, _CONVEX, 1, -1, float(rule.alpha), 0.0
     if graph.view.n1 == graph.n:
         raise ValueError("the periodic scheme needs a partitioned graph")
     if rule.period is None:
         raise ValueError("algA period is unresolved; set P or use resolve_period")
     gamma = resolve_gamma(graph, rule.gamma_mode, rule.gamma_value)
     p = rule.period
-    return CompiledRule(_VANILLA, int(RuleCase.NOOP), p, p - 1, 0.0, gamma)
+    return _VANILLA, int(RuleCase.NOOP), p, p - 1, 0.0, gamma

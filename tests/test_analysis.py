@@ -159,6 +159,9 @@ def test_estimator_requires_runs_and_horizon():
         estimate_T_av(g, VANILLA, "worst_cut", runs=10, horizon=5.0)
     with pytest.raises(ValueError):
         estimate_T_av(g, VANILLA, "worst_cut", runs=30, horizon=0.0)
+    for bad in (-5, 1.5, True):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            estimate_T_av(g, VANILLA, "worst_cut", runs=30, horizon=5.0, seed=bad)
 
 
 def test_slow_convex_member_is_no_faster_than_vanilla():

@@ -2,10 +2,12 @@ import hashlib
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from cutgossip import engine
 from cutgossip.analysis import bisection_x0, worst_cut_x0
 from cutgossip.engine import (
     RNG_ID,
@@ -454,6 +456,13 @@ def test_batch_kernel_rejects_bad_inputs():
         simulate_batch(g, VANILLA, [math.nan, 1.0, 0.0, 0.0], [1, 2], 5.0)
     with pytest.raises(ValueError, match="max_time"):
         simulate_batch(g, VANILLA, x0, [1, 2], -1.0)
+    # each seed is checked as SimConfig checks it, and the error names it
+    for bad in (1.5, -1, True):
+        with pytest.raises(ValueError, match=r"seeds\[1\] must be an integer >= 0"):
+            simulate_batch(g, VANILLA, x0, [1, bad], 5.0)
+    # a numpy integer seed runs as the Python int does
+    got = simulate_batch(g, VANILLA, x0, [np.int64(2)], 5.0)
+    assert np.array(got).tobytes() == np.array(simulate_batch(g, VANILLA, x0, [2], 5.0)).tobytes()
     first, last = simulate_batch(g, VANILLA, x0, [], 5.0)
     assert first.shape == last.shape == (0,)
 
@@ -529,6 +538,39 @@ def test_idle_side_predicate(side, idle):
         a = side[0]
         assert math.copysign(1.0, 0.5 * (a + a)) == math.copysign(1.0, a)
         assert 0.5 * (a + a) == a and a - a == 0.0
+
+
+def test_idle_skip_past_the_first_chunk_equals_a_run_that_never_skips():
+    # the dominance pool's runs: about 19k events, five chunks of draws,
+    # in which the sides fall idle between firings and each firing wakes
+    # them; against the same runs with no side ever idle
+    g = build_barbell(16, 16)
+    rule = parse_rule("algA:P=8")
+    x0 = worst_cut_x0(g)
+    loop = engine._pair_updates
+    counts = [0, 0]  # events given to the loop, and those it applied
+
+    def counted(x, e, *args, **kwargs):
+        live = loop(x, e, *args, **kwargs)
+        counts[0] += len(e)
+        counts[1] += len(e) if live is None else len(live)
+        return live
+
+    for seed in (3, 11, 20241):
+        counts[:] = [0, 0]
+        cfg = SimConfig(seed=seed, max_time=80.0, sample_every=1 << 62)
+        with mock.patch.object(engine, "_pair_updates", counted):
+            trace = simulate(g, rule, x0, cfg)
+        with mock.patch.object(engine, "_idle", lambda x, lo, hi: False):
+            full = simulate(g, rule, x0, cfg)
+        assert trace.n_events > 4 * 4096
+        assert counts[0] == trace.n_events and counts[1] < counts[0]
+        # crossing times are positive floats, None or inf: == is bitwise here
+        assert (trace.first_crossing, trace.last_exceedance) == (
+            full.first_crossing, full.last_exceedance)
+        assert trace.epoch_marks.tobytes() == full.epoch_marks.tobytes()
+        assert trace.tick_totals == full.tick_totals
+        assert trace.final.values.tobytes() == full.final.values.tobytes()
 
 
 def test_replay_states_selects_indices():

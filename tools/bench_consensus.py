@@ -3,7 +3,7 @@
 Usage, from the repository root:
 
     python3 tools/bench_consensus.py OLD_ROOT NEW_ROOT [--pairs 10]
-        [--seeds 3,20241] [--seconds 5] > BENCH_consensus.json
+        [--seeds 3,20241] [--seconds 5] > BENCH_single_run.json
 
 OLD_ROOT and NEW_ROOT are source checkouts, each with ``src/`` and
 ``perfbench/`` (for example a ``git archive`` of the parent commit and
@@ -15,6 +15,9 @@ this checkout).  Prints one JSON object with three parts:
   the scalar update loop and the events it applied; and the JSONL rows
   written against the row tails formatted (each ``_json_cells`` call
   formats the ``t`` column of a chunk or one tail column of its runs).
+  The script fails unless, per stage, the events given to the loop equal
+  the events simulated or replayed, so a change to the loop's call shape
+  cannot miscount silently.
 - ``never_idle``: ``engine.simulate`` on barbell(64,64), vanilla, a random
   start, 50,000 events, unsampled, where no side ever reaches exact
   consensus.  Each pair runs one fresh interpreter per tree, in
@@ -42,28 +45,32 @@ from cutgossip import engine
 import workloads
 
 stage = ["sampled"]
-events, applied = {}, {}
+events, applied, simulated = {}, {}, {}  # per stage
 pair_updates, json_cells, simulate, replay_states = (
     engine._pair_updates, engine._json_cells, engine.simulate, engine.replay_states)
 cells = []
 
-def counted(x, U, *args, **kwargs):
-    live = pair_updates(x, U, *args, **kwargs)
-    events[stage[0]] = events.get(stage[0], 0) + len(U)
-    applied[stage[0]] = applied.get(stage[0], 0) + (len(U) if live is None else len(live))
+def counted(x, e, *args, **kwargs):
+    live = pair_updates(x, e, *args, **kwargs)
+    events[stage[0]] = events.get(stage[0], 0) + len(e)
+    applied[stage[0]] = applied.get(stage[0], 0) + (len(e) if live is None else len(live))
     return live
 
 def sim(*args, **kwargs):
     trace = simulate(*args, **kwargs)
+    simulated[stage[0]] = simulated.get(stage[0], 0) + trace.n_events
     stage[0] = "pool"  # every run after the sampled one
     return trace
 
-def replay(*args, **kwargs):
+def replay(graph, rule, x0, log, at_indices):
     was, stage[0] = stage[0], "replay"
     try:
-        return replay_states(*args, **kwargs)
+        states = replay_states(graph, rule, x0, log, at_indices)
     finally:
         stage[0] = was
+    # replay_states applies the events up to its last index
+    simulated["replay"] = simulated.get("replay", 0) + max(at_indices, default=-1) + 1
+    return states
 
 def counted_cells(values):
     cells.append(len(values))
@@ -75,6 +82,8 @@ with tempfile.TemporaryDirectory() as tmp:
     wl = workloads.TraceEpochs(Path(tmp))
     result = wl.job(wl.setup(seed))
 rows = result["trace"].n_samples
+if events != simulated:
+    raise SystemExit(f"events given to the loop {events}, simulated or replayed {simulated}")
 print(json.dumps({
     "events": events, "applied": applied,
     "applied_frac": {k: round(applied[k] / events[k], 4) for k in events},
@@ -98,9 +107,9 @@ for _ in range(7):
     ts.append(time.perf_counter() - t0)
 applied = [0]
 pair_updates = engine._pair_updates
-def counted(x, U, *args, **kwargs):
-    live = pair_updates(x, U, *args, **kwargs)
-    applied[0] += len(U) if live is None else len(live)
+def counted(x, e, *args, **kwargs):
+    live = pair_updates(x, e, *args, **kwargs)
+    applied[0] += len(e) if live is None else len(live)
     return live
 engine._pair_updates = counted
 engine.simulate(g, rule, x0, cfg)
@@ -110,8 +119,9 @@ print(json.dumps({"median_s": statistics.median(ts), "applied": applied[0]}))
 
 def python(root: str, script: str, *argv: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"))
+    # stderr passes through, so a failed count check says what differed
     done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                          check=True, capture_output=True, text=True)
+                          check=True, stdout=subprocess.PIPE, text=True)
     return json.loads(done.stdout)
 
 
