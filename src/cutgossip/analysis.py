@@ -26,6 +26,7 @@ from .engine import (
     _integer,
     _lock_steps,
     _side_metrics,
+    _values,
     simulate,  # unused here; perfbench/tracer.py wraps analysis.simulate
     simulate_batch,
     sum_sq_dev,
@@ -167,11 +168,7 @@ class AveragingTimeEstimate:
 def _run_batch(graph, rule, x0, seeds, horizon: float, workers: int):
     """(first crossings, last exceedances) of one estimator run per seed,
     with the seeds split into ``workers`` parts run in parallel."""
-    # A rule that never fires the amplified transfer is a convex pair map,
-    # which never raises the variance: the first crossing is the last
-    # exceedance, so the run stops there.
-    run = partial(simulate_batch, graph, rule, x0, max_time=horizon,
-                  stop_at_crossing=compile_rule(graph, rule).phase < 0)
+    run = partial(simulate_batch, graph, rule, x0, max_time=horizon)
     if workers <= 1:
         return run(seeds)
     parts = [seeds[len(seeds) * w // workers : len(seeds) * (w + 1) // workers]
@@ -233,7 +230,7 @@ def estimate_T_av(
         else:
             raise ValueError(f"unknown x0 policy {x0_policy!r}")
     else:
-        starts = [np.asarray(x0_policy, dtype=float)]
+        starts = [np.array(_values(graph, x0_policy))]
 
     best: AveragingTimeEstimate | None = None
     for j, x0 in enumerate(starts):

@@ -87,20 +87,17 @@ class SimConfig:
     """Run parameters.  Stopping occurs at whichever criterion triggers first.
 
     At least one of ``max_time`` and ``max_events`` is required, and a
-    run without ``max_events`` needs a finite ``max_time``.
-    ``stop_at_crossing`` also stops the run at its first crossing, the
-    first event after which var(X)/var(X0) <= :data:`RATIO_THRESHOLD`;
-    rules that never contract (e.g. the gamma="n1" scheme on equal
-    blocks) may never cross, so the cap still applies.  ``sample_every``
-    is an event-count stride; metric samples are also forced at every
-    firing of the amplified cut transfer so epoch boundaries always carry
-    a variance sample.
+    run without ``max_events`` needs a finite ``max_time``.  A trace that
+    ends at its first crossing is the run capped at that event
+    (``max_events`` = its index + 1).  ``sample_every`` is an event-count
+    stride; metric samples are also forced at every firing of the
+    amplified cut transfer so epoch boundaries always carry a variance
+    sample.
     """
 
     seed: int
     max_time: float | None = None
     max_events: int | None = None
-    stop_at_crossing: bool = False
     sample_every: int = 1
     record_events: bool = False
     record_states: bool = False
@@ -362,28 +359,25 @@ class _Detector:
     ``first`` is the time of the first event that brought S to the
     threshold or below (nan before), ``last`` the time of the event that
     ended the latest stretch above it, and ``exceeding`` whether the run
-    is above it now.  With ``stop``, S stays put after the first crossing.
+    is above it now.
     """
 
-    def __init__(self, ss: float, runs: int, alpha: float, gamma: float,
-                 stop: bool) -> None:
+    def __init__(self, ss: float, runs: int, alpha: float, gamma: float) -> None:
         # 2c(1-c) per case code (NOOP, VANILLA, CONVEX, NONCONVEX)
         self.coef = np.array([0.0, 0.5, 2.0 * alpha * (1.0 - alpha),
                               2.0 * gamma * (1.0 - gamma)])
         self.thr = RATIO_THRESHOLD * ss
-        self.stop = stop
         self.ss = np.full(runs, ss)
         self.exceeding = np.ones(runs, dtype=bool)  # the ratio at t=0 is 1
         self.first = np.full(runs, np.nan)
         self.last = np.zeros(runs)
 
     def block(self, d: np.ndarray, cases: np.ndarray, times: np.ndarray,
-              ends: np.ndarray | None = None) -> np.ndarray:
+              ends: np.ndarray | None = None) -> None:
         """Advance over a block of b events, given as (b, R) arrays: ``d``
         holds each event's x_v - x_u before its update and is overwritten
         with S after it, ``cases`` the applied case codes and ``times`` the
         event times.  Events of run r from ``ends[r]`` on are ignored.
-        Returns the index of each run's first crossing in the block, or -1.
         """
         b = len(d)
         # S after each event, as the running ss -= 2c(1-c)*d*d gives it
@@ -394,15 +388,11 @@ class _Detector:
             for r in (ends < b).nonzero()[0].tolist():
                 e = ends[r]
                 d[e:, r] = d[e - 1, r] if e else self.ss[r]
-        j = np.full(len(self.ss), -1)
         pending = np.isnan(self.first)
         if pending.any():
             below = d <= self.thr
             for r in (pending & below.any(axis=0)).nonzero()[0].tolist():
-                j[r] = below[:, r].argmax()
-                self.first[r] = times[j[r], r]
-                if self.stop:
-                    d[j[r] + 1:, r] = d[j[r], r]
+                self.first[r] = times[below[:, r].argmax(), r]
         # the latest stretch above the threshold ends at the last event
         # entered while exceeding
         ex = d > self.thr
@@ -414,7 +404,6 @@ class _Detector:
             self.last[cols] = times[k[cols], cols]
         self.exceeding = ex[-1].copy()
         self.ss = d[-1].copy()
-        return j
 
     def last_exceedances(self) -> np.ndarray:
         return np.where(self.exceeding, math.inf, self.last)
@@ -620,7 +609,7 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     rc = clocks.rc
 
     # without variance the ratio is undefined and there is no detector
-    det = _Detector(ss, 1, rc.alpha, rc.gamma, config.stop_at_crossing) if ss > 0.0 else None
+    det = _Detector(ss, 1, rc.alpha, rc.gamma) if ss > 0.0 else None
 
     # the trace's sample columns, as arrays of consecutive samples
     s_times: list[np.ndarray] = []
@@ -697,71 +686,52 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
             points = sampled.nonzero()[0]
         # the loop applies only the events that can change x (``live``,
         # None for all of them); the detector sees only those
-        dense = 0 < end <= _DENSE * len(points)
-        if dense:
-            # no samples mid-loop: the loop logs each event's writes,
-            # from which numpy rebuilds the sampled states below
+        if 0 < end <= _DENSE * len(points):
+            # dense: no samples mid-loop; the loop logs each event's
+            # writes, from which numpy rebuilds the sampled states
             start = np.array(x)
             flat: list[float] = []
             live = _pair_updates(x, e, kinds, cases, rc, n1, flat, writes=True)
             logged = np.fromiter(flat, np.float64, len(flat)).reshape(-1, 3)  # d, x_u, x_v
             d = logged[:, :1].copy()
-        else:
-            # a run that stops at its first crossing may pass it within
-            # the block; it then goes back to the block's start
-            start = (np.array(x) if config.stop_at_crossing and det is not None
-                     and math.isnan(det.first[0]) else None)
-            ds: list[float] = []
-            live = _pair_updates(x, e, kinds, cases, rc, n1, ds, cuts=points.tolist(),
-                                 copies=rows)
-            d = np.fromiter(ds, np.float64, len(ds))[:, None]
-        if det is not None and len(d):
-            # per block, in numpy: the variance detector
-            at = slice(end) if live is None else live
-            j = int(det.block(d, cases[at, None], times[at, None])[0])
-            if j >= 0 and config.stop_at_crossing:
-                stop, timed_out = True, False
-                if live is not None:
-                    j = int(live[j])
-                if j + 1 < end:
-                    end = j + 1
-                    x[:] = start.tolist()
-                    _pair_updates(x, e[:end], kinds[:end], cases[:end], rc, n1, [])
-        k = int(points.searchsorted(end))  # sample points up to the stop
-        if dense:
-            last_at, applied = points[:k], e
+            last_at, applied = points, e
             if live is not None:
                 # a point's state is the one after the last event
                 # applied at or before it
-                last_at = live.searchsorted(last_at, side="right") - 1
+                last_at = live.searchsorted(points, side="right") - 1
                 applied = e[live]
             for states in _block_states(start, eu[applied], ev[applied], logged[:, 1:],
                                         last_at):
                 measure(states)
         else:
-            del rows[len(rows) - len(points) + k:]
+            ds: list[float] = []
+            live = _pair_updates(x, e, kinds, cases, rc, n1, ds, cuts=points.tolist(),
+                                 copies=rows)
+            d = np.fromiter(ds, np.float64, len(ds))[:, None]
             measure()
-        if k:
+        if det is not None and len(d):
+            # per block, in numpy: the variance detector
+            at = slice(end) if live is None else live
+            det.block(d, cases[at, None], times[at, None])
+        if len(points):
             # t, nu12 and k_cut at each sample point
-            kept = points[:k]
-            s_times.append(times[kept])
-            s_nu.append((kinds >= KIND_CROSS).nonzero()[0].searchsorted(kept, side="right")
+            s_times.append(times[points])
+            s_nu.append((kinds >= KIND_CROSS).nonzero()[0].searchsorted(points, side="right")
                         + (ticks[KIND_CROSS] + ticks[KIND_CUT]))
-            s_k.append(cut_at.searchsorted(kept, side="right") + ticks[KIND_CUT])
+            s_k.append(cut_at.searchsorted(points, side="right") + ticks[KIND_CUT])
         # counters, epoch marks and the event log
-        counts = np.bincount(kinds[:end], minlength=4).tolist()
+        counts = np.bincount(kinds, minlength=4).tolist()
         ticks = [a + b for a, b in zip(ticks, counts)]
-        f = fired[: fired.searchsorted(end)]
-        if f.size:
-            marks.append(times[f])
-            mark_sidx.append(points.searchsorted(f) + n_samples)
-            mark_eidx.append(f + events)
-        n_samples += k
+        if fired.size:
+            marks.append(times[fired])
+            mark_sidx.append(points.searchsorted(fired) + n_samples)
+            mark_eidx.append(fired + events)
+        n_samples += len(points)
         if config.record_events:
             # copies: the clocks reuse their buffers
             log_t.append(times[:end].copy())
-            log_e.append(e[:end].copy())
-            log_c.append(cases[:end])
+            log_e.append(e.copy())
+            log_c.append(cases)
         events += end
         if end:
             t = float(times[end - 1])
@@ -825,18 +795,23 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
 
 def simulate_batch(
     graph, rule: RuleDescriptor, x0, seeds, max_time: float,
-    stop_at_crossing: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(first crossings, last exceedances) of one run per seed, bit for bit
-    those of :func:`simulate` with ``SimConfig(seed, max_time=max_time,
-    stop_at_crossing=stop_at_crossing)``; a run that never crossed has a
-    nan first crossing.  x0 must have nonzero variance.
+    those of :func:`simulate` with ``SimConfig(seed, max_time=max_time)``;
+    a run that never crossed has a nan first crossing.  x0 must have
+    nonzero variance.
+
+    A rule that never fires the amplified transfer is a convex pair map,
+    which never raises the variance: the first crossing is the last
+    exceedance, so each run stops there and ``max_time`` is only a cap.
+    Runs of a rule that fires, which can raise the variance again, go on
+    to ``max_time``.
 
     Up to :data:`_GROUP` runs advance in lockstep on one flat array of
     their values, a :class:`_Clocks` block at a time, through the applier
     :func:`_lock_steps`.  Then the variance detector runs over the block,
-    and runs that met their time cap, or their first crossing when they
-    stop there, leave the group.
+    and runs that met their time cap, or stopped at their first crossing,
+    leave the group.
     """
     x, ss = _start(graph, x0)
     if ss == 0.0:
@@ -849,12 +824,11 @@ def simulate_batch(
     groups = max(1, -(-len(seeds) // _GROUP))  # of near-equal size
     bounds = [len(seeds) * g // groups for g in range(groups + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
-        _lockstep(graph, rule, x, ss, seeds[lo:hi], max_time, stop_at_crossing,
-                  first[lo:hi], last[lo:hi])
+        _lockstep(graph, rule, x, ss, seeds[lo:hi], max_time, first[lo:hi], last[lo:hi])
     return first, last
 
 
-def _lockstep(graph, rule, x, ss, seeds, max_time, stop, first, last) -> None:
+def _lockstep(graph, rule, x, ss, seeds, max_time, first, last) -> None:
     """:func:`simulate_batch` over one group of runs, written into the
     group's slices ``first`` and ``last``."""
     n, _, eu, ev, kind = graph.view
@@ -870,7 +844,8 @@ def _lockstep(graph, rule, x, ss, seeds, max_time, stop, first, last) -> None:
     X = np.zeros((R, w))
     X[:, :n] = x
     X = X.ravel()
-    det = _Detector(ss, R, clocks.rc.alpha, clocks.rc.gamma, stop)
+    det = _Detector(ss, R, clocks.rc.alpha, clocks.rc.gamma)
+    stop = clocks.rc.phase < 0  # runs stop at their first crossing
     g_buf = np.empty(_BLOCK * 4 * R)  # the values gathered at each step of a block
     while R:
         times, e, _, cases, _, (cs, cr), ends = clocks.block()
@@ -884,10 +859,10 @@ def _lockstep(graph, rule, x, ss, seeds, max_time, stop, first, last) -> None:
         fixes = zip(cs.tolist(), cr.tolist(), (eu[fire_e] + off[cr]).tolist(),
                     (ev[fire_e] + off[cr]).tolist(), repeat(_NONCONVEX))
         g = _lock_steps(X, ix, clocks.rc, fixes, g_buf)
-        crossed = det.block(g[:, 1] - g[:, 0], cases, times, ends) >= 0
+        det.block(g[:, 1] - g[:, 0], cases, times, ends)
         done = ends < b
         if stop:
-            done |= crossed
+            done |= ~np.isnan(det.first)  # in this block: earlier ones have left
         if done.any():
             first[rows[done]] = det.first[done]
             last[rows[done]] = det.last_exceedances()[done]
@@ -969,10 +944,11 @@ def replay_states(
 ) -> np.ndarray:
     """States just after each event index in ``at_indices`` (sorted).
 
-    Index -1 selects the initial state.
+    Index -1 selects the initial state.  An index that is not an integer
+    >= -1 is a ValueError; one past the log, an IndexError.
     """
-    wants = sorted(at_indices)
-    if wants and not (-1 <= wants[0] and wants[-1] < len(event_log)):
+    wants = sorted(_integer(f"at_indices[{i}]", w, -1) for i, w in enumerate(at_indices))
+    if wants and wants[-1] >= len(event_log):
         raise IndexError("event index beyond the recorded log")
     rc = compile_rule(graph, rule)
     n1, kind = graph.view.n1, graph.view.kind

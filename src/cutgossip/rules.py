@@ -54,10 +54,12 @@ class RuleDescriptor:
     kind "vanilla": every tick replaces both endpoints by their mean.
     kind "convex": every tick applies the alpha blend (alpha in [0, 1]).
     kind "algA": intra-block ticks average, non-designated cross ticks are
-    no-ops, and every ``period``-th tick of the designated cut edge fires
-    the amplified transfer with coefficient gamma.  ``period`` may be left
-    unset and resolved later from block averaging-time estimates via
-    :func:`compute_period` with constant ``c_const``.
+    no-ops, and the k-th tick of the designated cut edge (k from 1) fires
+    the amplified transfer with coefficient gamma when k % period ==
+    period - 1: ticks period - 1, 2*period - 1, ..., or every tick when
+    period is 1.  ``period`` may be left unset and resolved later from
+    block averaging-time estimates via :func:`compute_period` with
+    constant ``c_const``.
 
     gamma_mode "balanced" uses n1*n2/n, which zeroes the block-mean
     imbalance exactly; "n1" uses the block-one size (overshoots into a
@@ -223,7 +225,9 @@ class CompiledRule:
 
     Intra-block ticks apply ``intra`` and cross ticks ``cross``, except that
     the k-th cut-edge tick (k from 1) fires the amplified transfer when
-    k % period == phase; phase -1 never fires.  Case codes are plain ints.
+    k % period == phase; phase -1 never fires.  The periodic scheme has
+    phase period - 1, so ticks period - 1, 2*period - 1, ... fire (every
+    tick when period is 1).  Case codes are plain ints.
     ``_edges`` holds per edge of the graph's view the tuple (u, v, 1 << kind,
     default case), as an object array that a block of edges indexes at once.
     """

@@ -127,6 +127,15 @@ def test_estimator_degenerate_x0():
         estimate_T_av(g, VANILLA, np.zeros(4), runs=30, horizon=5.0)
 
 
+def test_estimator_rejects_a_start_of_the_wrong_shape():
+    # an explicit start is checked against the graph, as simulate checks it
+    g = build_barbell(2, 2)
+    x0 = worst_cut_x0(g)
+    for bad in (np.stack([x0, x0]), np.array(1.0), np.append(x0, 0.0)):
+        with pytest.raises(ValueError, match="x0 has shape"):
+            estimate_T_av(g, VANILLA, bad, runs=30, horizon=5.0)
+
+
 def test_estimator_offset_x0_equivariant():
     # the detector tracks sum((x - mean)^2) through mean-free updates, so a
     # large offset and a scale leave every run's crossing unchanged

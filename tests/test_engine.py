@@ -163,6 +163,20 @@ def test_epoch_mark_matches_first_cut_tick_at_period_one():
     assert trace.epoch_marks[0] == cut_times[0]
 
 
+@pytest.mark.parametrize("period", [1, 2, 3, 8])
+def test_the_cut_ticks_that_fire(period):
+    # the k-th cut tick (k from 1) fires when k % P == P - 1: ticks P - 1,
+    # 2P - 1, ..., or every tick when P = 1
+    g = build_barbell(3, 3)
+    trace = simulate(g, RuleDescriptor("algA", period=period), worst_cut_x0(g),
+                     SimConfig(seed=8, max_events=2000, sample_every=1 << 62))
+    k = trace.k_cut[trace.epoch_sample_idx]
+    assert np.all(k % period == period - 1)
+    cuts = trace.tick_totals["cut"]
+    assert k.tolist() == [j for j in range(1, cuts + 1) if j % period == period - 1]
+    assert len(k) >= 3
+
+
 def test_bit_identical_reruns():
     g = build_barbell(4, 4)
     rule = RuleDescriptor("algA", period=3)
@@ -320,31 +334,32 @@ def test_convex_range_never_expands():
 
 
 def test_variance_ratio_target_stop():
-    # stop_at_crossing ends the run at the event of its first crossing
+    # a run capped at the event of its first crossing ends there, below
+    # the threshold for the first time
     g = build_barbell(4, 4)
     x0 = worst_cut_x0(g)
-    trace = simulate(
-        g, VANILLA, x0,
-        SimConfig(seed=3, max_events=10**7, stop_at_crossing=True),
-    )
+    full = simulate(g, VANILLA, x0, SimConfig(seed=3, max_events=10**4, record_events=True))
+    k = int(full.event_log.times.searchsorted(full.first_crossing))
+    trace = simulate(g, VANILLA, x0, SimConfig(seed=3, max_events=k + 1))
     assert trace.final.time == trace.first_crossing == trace.last_exceedance
-    assert trace.var[-1] <= math.exp(-2.0) * trace.var[0]
-    full = simulate(g, VANILLA, x0, SimConfig(seed=3, max_events=10**4))
-    assert full.first_crossing == trace.first_crossing
+    assert trace.first_crossing == full.first_crossing
+    assert trace.var[-1] <= math.exp(-2.0) * trace.var[0] < trace.var[-2]
     assert full.n_events > trace.n_events
 
 
 def test_crossing_on_a_block_edge_stops_there():
-    # this run first crosses at its 64th event, the last of the first block
+    # this run first crosses at its 64th event, the last of the first
+    # block: the batch kernel stops it there, and the run capped at that
+    # event ends in the state after it
     side = side_subgraph(build_barbell(32, 32), 1)
     x0 = bisection_x0(32)
     full = simulate(side, VANILLA, x0,
                     SimConfig(seed=10, max_events=200, record_events=True))
     assert full.event_log.times[63] == full.first_crossing
-    trace = simulate(side, VANILLA, x0,
-                     SimConfig(seed=10, max_time=256.0, stop_at_crossing=True))
-    assert trace.n_events == 64
-    assert trace.final.time == full.first_crossing
+    first, last = simulate_batch(side, VANILLA, x0, [10], 256.0)
+    assert first[0] == last[0] == full.first_crossing
+    trace = simulate(side, VANILLA, x0, SimConfig(seed=10, max_events=64))
+    assert trace.final.time == trace.last_exceedance == full.first_crossing
     assert np.array_equal(trace.final.values,
                           replay_states(side, VANILLA, x0, full.event_log, [63])[0])
 
@@ -468,29 +483,42 @@ def test_batch_kernel_rejects_bad_inputs():
 
 
 def test_batch_kernel_past_its_first_chunk():
-    # 33 runs make two groups.  Stopped vanilla runs end after 2,131 to
-    # 6,322 events: some leave their group within the first chunk of
-    # draws, and the rest read on from compacted rows into the next one.
-    # The algA runs read four chunks each before their time cap.
+    # 33 runs make two groups.  The kernel stops vanilla runs at their
+    # first crossing, after 2,131 to 6,322 events: some leave their group
+    # within the first chunk of draws, and the rest read on from
+    # compacted rows into the next one.  The algA runs read four chunks
+    # each before their time cap.
     g = build_barbell(16, 16)
     x0 = worst_cut_x0(g)
     seeds = range(100, 133)
-    for rule, horizon, stop in ((VANILLA, 200.0, True),
-                                (parse_rule("algA:P=8"), 60.0, False)):
+    for rule, horizon in ((VANILLA, 200.0), (parse_rule("algA:P=8"), 60.0)):
         traces = [simulate(g, rule, x0, SimConfig(seed=s, max_time=horizon,
-                                                  stop_at_crossing=stop,
-                                                  sample_every=1 << 62))
+                                                  sample_every=1 << 62,
+                                                  record_events=True))
                   for s in seeds]
-        events = [tr.n_events for tr in traces]
-        if stop:
+        first, last = simulate_batch(g, rule, x0, seeds, horizon)
+        if rule is VANILLA:
+            # the events up to and including each run's first crossing
+            events = [int(tr.event_log.times.searchsorted(tr.first_crossing)) + 1
+                      for tr in traces]
             assert min(events) < 4096 < max(events)
         else:
-            assert min(events) > 3 * 4096
-        first, last = simulate_batch(g, rule, x0, seeds, horizon, stop)
+            assert min(tr.n_events for tr in traces) > 3 * 4096
         want_first = [math.nan if tr.first_crossing is None else tr.first_crossing
                       for tr in traces]
         assert first.tobytes() == np.array(want_first).tobytes()
         assert last.tobytes() == np.array([tr.last_exceedance for tr in traces]).tobytes()
+
+
+def test_batch_runs_of_a_firing_rule_go_on_past_their_crossing():
+    # a firing can raise the variance again, so the kernel stops only the
+    # runs of a rule that never fires at their first crossing
+    g = build_barbell(4, 4)
+    x0 = worst_cut_x0(g)
+    first, last = simulate_batch(g, parse_rule("algA:P=3"), x0, range(32), 40.0)
+    assert np.sum(last > first) == 4
+    first, last = simulate_batch(g, VANILLA, x0, range(32), 40.0)
+    assert np.array_equal(first, last)
 
 
 def test_event_stream_layout_is_rng_id():
@@ -595,6 +623,22 @@ def test_replay_states_selects_indices():
             replay_states(g, VANILLA, bad, trace.event_log, [-1, 0])
         with pytest.raises(ValueError, match="x0 has shape"):
             replay(g, VANILLA, bad, trace.event_log)
+
+
+def test_replay_states_rejects_bad_indices():
+    g = build_barbell(2, 3)
+    x0 = worst_cut_x0(g)
+    log = simulate(g, VANILLA, x0, SimConfig(seed=19, max_events=50,
+                                             record_events=True)).event_log
+    # each index must be an integer >= -1, and the error names it
+    for bad in (2.5, True, -2, "3"):
+        with pytest.raises(ValueError, match=r"at_indices\[1\] must be an integer >= -1"):
+            replay_states(g, VANILLA, x0, log, [0, bad])
+    # a numpy integer selects as the int does
+    assert replay_states(g, VANILLA, x0, log, [np.int64(4)]).tobytes() == replay_states(
+        g, VANILLA, x0, log, [4]).tobytes()
+    with pytest.raises(IndexError, match="beyond the recorded log"):
+        replay_states(g, VANILLA, x0, log, [0, 50])
 
 
 def test_trace_jsonl_roundtrip(tmp_path):
@@ -777,22 +821,26 @@ def _golden_digest(graph, rule, x0):
     h = hashlib.sha256()
     for max_events, max_time in GOLDEN_CAPS:
         for every in (1, 7, 1 << 62):
-            for stop in (False, True):
-                tr = simulate(graph, rule, x0, SimConfig(
-                    seed=11, max_events=max_events, max_time=max_time,
-                    stop_at_crossing=stop, sample_every=every,
-                    record_events=True, record_states=True,
-                ))
-                for arr in (tr.final.values, tr.times, tr.var, tr.mu1, tr.mu2,
-                            tr.sigma, tr.nu12, tr.k_cut, tr.states,
-                            tr.epoch_marks, tr.epoch_sample_idx,
-                            tr.epoch_event_idx, tr.event_log.times,
-                            tr.event_log.edges, tr.event_log.cases):
+            cfg = dict(seed=11, max_time=max_time, sample_every=every,
+                       record_events=True, record_states=True)
+            tr = simulate(graph, rule, x0, SimConfig(max_events=max_events, **cfg))
+            # each run, then the same run stopped at its first crossing:
+            # capped at that event
+            stopped = tr
+            if tr.first_crossing is not None:
+                k = int(tr.event_log.times.searchsorted(tr.first_crossing)) + 1
+                stopped = simulate(graph, rule, x0, SimConfig(max_events=k, **cfg))
+            for run in (tr, stopped):
+                for arr in (run.final.values, run.times, run.var, run.mu1, run.mu2,
+                            run.sigma, run.nu12, run.k_cut, run.states,
+                            run.epoch_marks, run.epoch_sample_idx,
+                            run.epoch_event_idx, run.event_log.times,
+                            run.event_log.edges, run.event_log.cases):
                     h.update(np.ascontiguousarray(arr).tobytes())
                     h.update(b"|")
-                h.update(repr((tr.final.time, tr.first_crossing,
-                               tr.last_exceedance,
-                               sorted(tr.tick_totals.items()))).encode())
+                h.update(repr((run.final.time, run.first_crossing,
+                               run.last_exceedance,
+                               sorted(run.tick_totals.items()))).encode())
     return h.hexdigest()
 
 

@@ -116,41 +116,47 @@ def test_capped_run_is_a_prefix_of_a_longer_run(case, k, seed):
     assert np.array_equal(short.final.values, want)
 
 
+def _crossing_events(trace) -> int | None:
+    """The events of a run with an event log up to and including its first
+    crossing, or None when it never crossed."""
+    if trace.first_crossing is None:
+        return None
+    return int(np.searchsorted(trace.event_log.times, trace.first_crossing)) + 1
+
+
 @PROPERTY
 @given(cases(), st.integers(0, 2**32))
 def test_crossing_stop_ends_at_the_first_crossing(case, seed):
+    # a run stopped at its first crossing is the run capped at that
+    # event (test_capped_run_is_a_prefix_of_a_longer_run checks its
+    # state): it ends at that crossing, which is its last exceedance
     g, x0, name = case
     rule = RULES[name]
     long = simulate(g, rule, x0, SimConfig(seed=seed, max_events=LONG,
                                            sample_every=1 << 62,
                                            record_events=True))
-    stopped = simulate(g, rule, x0, SimConfig(seed=seed, max_events=LONG,
-                                              sample_every=1 << 62,
-                                              stop_at_crossing=True))
-    assert stopped.first_crossing == long.first_crossing
-    if long.first_crossing is None:
-        assert stopped.n_events == LONG
-        assert np.array_equal(stopped.final.values, long.final.values)
+    k = _crossing_events(long)
+    if k is None:
         return
-    k = int(np.searchsorted(long.event_log.times, long.first_crossing))
-    assert stopped.n_events == k + 1
+    stopped = simulate(g, rule, x0, SimConfig(seed=seed, max_events=k,
+                                              sample_every=1 << 62))
+    assert stopped.first_crossing == long.first_crossing
     assert stopped.final.time == stopped.last_exceedance == long.first_crossing
-    want = replay_states(g, rule, x0, long.event_log, [k])[0]
-    assert np.array_equal(stopped.final.values, want)
 
 
 @PROPERTY
 @given(cases(), st.integers(0, 2**32), st.sampled_from([3, None]))
 def test_crossing_stop_keeps_the_samples_before_it(case, seed, pending):
-    # A run that stops at its crossing drops the samples its last block
-    # took past the crossing, whether or not a full batch of sampled
-    # states (engine._PENDING, shrunk here to 3) was already measured.
+    # A run capped at its first crossing keeps the samples of the longer
+    # run up to it, whether or not a full batch of sampled states
+    # (engine._PENDING, shrunk here to 3) was already measured.
     g, x0, name = case
     rule = RULES[name]
-    cfg = dict(seed=seed, max_events=LONG, sample_every=1, record_states=True)
-    long = simulate(g, rule, x0, SimConfig(**cfg))
+    cfg = dict(seed=seed, sample_every=1, record_states=True)
+    long = simulate(g, rule, x0, SimConfig(max_events=LONG, record_events=True, **cfg))
     with mock.patch.object(engine, "_PENDING", pending or engine._PENDING):
-        stopped = simulate(g, rule, x0, SimConfig(stop_at_crossing=True, **cfg))
+        stopped = simulate(g, rule, x0, SimConfig(
+            max_events=_crossing_events(long) or LONG, **cfg))
     k = stopped.n_samples
     if long.first_crossing is None:
         assert k == long.n_samples
@@ -184,16 +190,34 @@ def test_batch_kernel_equals_per_run_simulate(case, runs, seed, horizon, edge):
                                               sample_every=1 << 62,
                                               record_events=True)).event_log
         horizon = float(log.times[-1])
-    for stop in (False, True):
-        first, last = simulate_batch(g, rule, x0, seeds, horizon, stop)
-        traces = [simulate(g, rule, x0, SimConfig(seed=s, max_time=horizon,
-                                                  stop_at_crossing=stop,
-                                                  sample_every=1 << 62))
-                  for s in seeds]
-        want_first = [math.nan if tr.first_crossing is None else tr.first_crossing
-                      for tr in traces]
-        assert first.tobytes() == np.array(want_first).tobytes()
-        assert last.tobytes() == np.array([tr.last_exceedance for tr in traces]).tobytes()
+    first, last = simulate_batch(g, rule, x0, seeds, horizon)
+    traces = [simulate(g, rule, x0, SimConfig(seed=s, max_time=horizon,
+                                              sample_every=1 << 62))
+              for s in seeds]
+    want_first = [math.nan if tr.first_crossing is None else tr.first_crossing
+                  for tr in traces]
+    assert first.tobytes() == np.array(want_first).tobytes()
+    assert last.tobytes() == np.array([tr.last_exceedance for tr in traces]).tobytes()
+
+
+# The rules that never fire: under them no update raises the variance.
+CONVEX_CLASS = [RULES["vanilla"]] + [RuleDescriptor("convex", alpha=a)
+                                     for a in (0.0, 0.3, 0.5, 1.0)]
+
+
+@PROPERTY
+@given(cases(), st.sampled_from(CONVEX_CLASS), st.integers(0, 2**32),
+       st.floats(0.5, 30.0))
+def test_convex_class_last_exceedance_is_the_first_crossing(case, rule, seed, horizon):
+    # what lets simulate_batch stop these runs at their first crossing;
+    # a = 0 swaps and a = 1 keeps the values, so neither ever crosses
+    g, x0, _ = case
+    tr = simulate(g, rule, x0, SimConfig(seed=seed, max_time=horizon,
+                                         sample_every=1 << 62))
+    if tr.first_crossing is None:
+        assert tr.last_exceedance == math.inf
+    else:
+        assert tr.last_exceedance == tr.first_crossing
 
 
 @PROPERTY
@@ -206,23 +230,22 @@ def test_sampled_states_equal_replayed_states(case, seed, events, pending, table
     g, x0, name = case
     rule = RULES[name]
     for every in (1, 2, 3, 5, 8, 13):
-        for stop in (False, True):
-            with mock.patch.object(engine, "_PENDING", pending or engine._PENDING), \
-                    mock.patch.object(engine, "_TABLE", table or engine._TABLE):
-                tr = simulate(g, rule, x0, SimConfig(
-                    seed=seed, max_events=events, sample_every=every,
-                    stop_at_crossing=stop, record_events=True, record_states=True))
-            # the event each sample follows: the last one at or before its time
-            at = np.searchsorted(tr.event_log.times, tr.times, side="right") - 1
-            # the start, every every-th event, every firing and the last event
-            last = tr.n_events - 1
-            assert at.tolist() == sorted({-1, last, *range(every - 1, last, every),
-                                          *tr.epoch_event_idx.tolist()})
-            states = replay_states(g, rule, x0, tr.event_log, at.tolist())
-            assert tr.states.tobytes() == states.tobytes()
-            metrics = engine._side_metrics(states, g.view.n1)
-            for got, want in zip((tr.mu1, tr.mu2, tr.sigma, tr.var), metrics):
-                assert got.tobytes() == want.tobytes()
+        with mock.patch.object(engine, "_PENDING", pending or engine._PENDING), \
+                mock.patch.object(engine, "_TABLE", table or engine._TABLE):
+            tr = simulate(g, rule, x0, SimConfig(
+                seed=seed, max_events=events, sample_every=every,
+                record_events=True, record_states=True))
+        # the event each sample follows: the last one at or before its time
+        at = np.searchsorted(tr.event_log.times, tr.times, side="right") - 1
+        # the start, every every-th event, every firing and the last event
+        last = tr.n_events - 1
+        assert at.tolist() == sorted({-1, last, *range(every - 1, last, every),
+                                      *tr.epoch_event_idx.tolist()})
+        states = replay_states(g, rule, x0, tr.event_log, at.tolist())
+        assert tr.states.tobytes() == states.tobytes()
+        metrics = engine._side_metrics(states, g.view.n1)
+        for got, want in zip((tr.mu1, tr.mu2, tr.sigma, tr.var), metrics):
+            assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -288,29 +311,27 @@ def test_idle_skip_equals_per_event_steps(case, seed, events):
 
     ref = None
     for every in (1, 7, 1 << 62):
-        for stop in (False, True):
-            cfg = SimConfig(seed=seed, max_events=events, sample_every=every,
-                            stop_at_crossing=stop, record_events=True,
-                            record_states=True)
-            with mock.patch.object(engine, "_pair_updates", counted):
-                tr = simulate(g, rule, x0, cfg)
-            if ref is None:
-                ref_log = tr.event_log
-                ref = _stepped_states(g, rule, x0, ref_log)
-            # the event each sample follows, and the state after it
-            at = np.searchsorted(tr.event_log.times, tr.times, side="right") - 1
-            want = ref[at + 1]
-            assert tr.states.tobytes() == want.tobytes()
-            assert tr.var.tobytes() == engine._side_metrics(want, g.view.n1)[3].tobytes()
-            assert tr.final.values.tobytes() == ref[tr.n_events].tobytes()
-            with mock.patch.object(engine, "_pair_updates", counted):
-                replayed = replay_states(g, rule, x0, tr.event_log, at.tolist())
-            assert replayed.tobytes() == want.tobytes()
-            # the variance detector, against a run that applies every event
-            with mock.patch.object(engine, "_idle", lambda x, lo, hi: False):
-                full = simulate(g, rule, x0, cfg)
-            assert (tr.first_crossing, tr.last_exceedance) == (
-                full.first_crossing, full.last_exceedance)
+        cfg = SimConfig(seed=seed, max_events=events, sample_every=every,
+                        record_events=True, record_states=True)
+        with mock.patch.object(engine, "_pair_updates", counted):
+            tr = simulate(g, rule, x0, cfg)
+        if ref is None:
+            ref_log = tr.event_log
+            ref = _stepped_states(g, rule, x0, ref_log)
+        # the event each sample follows, and the state after it
+        at = np.searchsorted(tr.event_log.times, tr.times, side="right") - 1
+        want = ref[at + 1]
+        assert tr.states.tobytes() == want.tobytes()
+        assert tr.var.tobytes() == engine._side_metrics(want, g.view.n1)[3].tobytes()
+        assert tr.final.values.tobytes() == ref[tr.n_events].tobytes()
+        with mock.patch.object(engine, "_pair_updates", counted):
+            replayed = replay_states(g, rule, x0, tr.event_log, at.tolist())
+        assert replayed.tobytes() == want.tobytes()
+        # the variance detector, against a run that applies every event
+        with mock.patch.object(engine, "_idle", lambda x, lo, hi: False):
+            full = simulate(g, rule, x0, cfg)
+        assert (tr.first_crossing, tr.last_exceedance) == (
+            full.first_crossing, full.last_exceedance)
     first_kind = g.view.kind[ref_log.edges[0]]
     if start == "block" and first_kind < KIND_CROSS:
         # both sides start idle, so at least the first event is skipped
