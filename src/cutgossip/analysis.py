@@ -11,7 +11,6 @@ t, i.e. an order statistic of the per-run last exceedances at quantile
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -22,6 +21,7 @@ from .engine import (
     SimTrace,
     StateVector,
     _BLOCK,
+    _GROUP,
     _NOOP,
     _integer,
     _lock_steps,
@@ -167,14 +167,20 @@ class AveragingTimeEstimate:
 
 def _run_batch(graph, rule, x0, seeds, horizon: float, workers: int):
     """(first crossings, last exceedances) of one estimator run per seed,
-    with the seeds split into ``workers`` parts run in parallel."""
+    with the seeds split into up to ``workers`` parts run in parallel.
+    No part is smaller than one lockstep group (:data:`engine._GROUP`
+    runs): a step costs nearly as much for a few runs as for a group, so
+    a thinner split would pay it again in every process."""
     run = partial(simulate_batch, graph, rule, x0, max_time=horizon)
-    if workers <= 1:
+    parts = min(workers, len(seeds) // _GROUP)
+    if parts < 2:
         return run(seeds)
-    parts = [seeds[len(seeds) * w // workers : len(seeds) * (w + 1) // workers]
-             for w in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        done = list(pool.map(run, parts))
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunks = [seeds[len(seeds) * w // parts : len(seeds) * (w + 1) // parts]
+              for w in range(parts)]
+    with ProcessPoolExecutor(max_workers=parts) as pool:
+        done = list(pool.map(run, chunks))
     return tuple(np.concatenate(col) for col in zip(*done))
 
 
@@ -209,6 +215,7 @@ def estimate_T_av(
     if runs < 30:
         raise ValueError("need at least 30 runs")
     seed = _integer("seed", seed)
+    workers = _integer("workers", workers, 1)
     if not horizon > 0:
         raise ValueError("horizon must be positive")
     if horizon == math.inf:
@@ -287,6 +294,7 @@ def estimate_T_van(
     """
     if not isinstance(subgraph, SideGraph):
         raise TypeError("expected a SideGraph (see side_subgraph)")
+    workers = _integer("workers", workers, 1)
     if subgraph.n == 1:
         return 0.0
     est = estimate_T_av(
@@ -436,11 +444,69 @@ def loglog_slope(xs, ys) -> float:
                             np.log(np.asarray(ys, float)), 1)[0])
 
 
+def _sweep_points(columns, point, n_values, workers: int) -> SweepTable:
+    """The sweep table of ``point(p, n, w)`` -> (row, t_hat) over the
+    points p of ``n_values``, with rows in the order of ``n_values``.
+
+    Every point draws its seeds from its index, so the table does not
+    depend on ``workers``.  With ``workers`` >= 2 and two points or more,
+    one process pool runs the points, largest n first (the slowest point
+    bounds the sweep, so it starts at once), each with ``w`` = 1, so no
+    pool is nested.  Otherwise the points run in this process with ``w``
+    = ``workers``.
+    """
+    workers = _integer("workers", workers, 1)
+    n_values = list(n_values)
+    for n in n_values:
+        if n < 2 or n % 2:
+            raise ValueError("block family needs even n >= 2")
+    if workers < 2 or len(n_values) < 2:
+        done = [point(p, n, workers) for p, n in enumerate(n_values)]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(n_values)))
+        try:
+            futures = {p: pool.submit(point, p, n, 1) for p, n in
+                       sorted(enumerate(n_values), key=lambda pn: -pn[1])}
+            done = [futures[p].result() for p in range(len(n_values))]
+        finally:
+            # after an error, drop the points not yet started; either way
+            # wait for the running ones, so no worker outlives the sweep
+            pool.shutdown(cancel_futures=True)
+    slope = loglog_slope(n_values, [t_hat for _, t_hat in done])
+    return SweepTable(columns, [row for row, _ in done],
+                      [f"loglog_slope_t_hat_vs_n={slope:.4f}"])
+
+
 CONVEX_SWEEP_COLUMNS = [
     "n", "n1", "n2", "e12", "rule", "runs", "horizon", "seed_start",
     "seed_end", "t_hat", "exceed_fraction", "bound", "t_hat_ge_bound",
     "nu_mean_at_t_hat", "nu_needed",
 ]
+
+
+def _convex_point(rule: RuleDescriptor, runs: int, seed: int, p: int, n: int,
+                  workers: int) -> tuple[list, float]:
+    """Row and t_hat of point ``p`` (size ``n``) of the convex sweep."""
+    from .graph import build_barbell
+
+    g = build_barbell(n // 2, n // 2)
+    master = seed + _POINT_STRIDE * p
+    horizon = max(16.0, 4.0 * g.n1)
+    est = estimate_T_av(
+        g, rule, "worst_cut", runs, horizon, seed=master, workers=workers,
+    )
+    e12 = len(g.edges_e12)
+    bound = 0.1 * g.n1 / e12
+    row = [
+        n, g.n1, g.n2, e12, rule.to_text(), runs, horizon,
+        run_seed(master, 0, 0), run_seed(master, 0, runs - 1),
+        est.t_hat, est.exceed_fraction_at_t_hat, bound,
+        est.t_hat >= bound, e12 * est.t_hat,
+        (1.0 - 1.0 / math.e) * g.n1 / 4.0,
+    ]
+    return row, est.t_hat
 
 
 def convex_lower_bound_sweep(
@@ -458,38 +524,14 @@ def convex_lower_bound_sweep(
     Each row also reports the expected number of cross-edge ticks by the
     estimated time, |E12|*t_hat (each cross edge ticks at rate 1), next
     to the (1-1/e)*n1/4 ticks the bottleneck argument requires.
+    ``workers`` >= 2 runs the points in parallel processes (see
+    :func:`_sweep_points`); the table is the same for every value.
     """
     if rule.kind == "algA":
         raise ValueError("the sweep is for convex-class rules")
-    from .graph import build_barbell
-
-    rows = []
-    t_hats = []
-    for p, n in enumerate(n_values):
-        if n < 2 or n % 2:
-            raise ValueError("block family needs even n >= 2")
-        g = build_barbell(n // 2, n // 2)
-        master = seed + _POINT_STRIDE * p
-        horizon = max(16.0, 4.0 * g.n1)
-        est = estimate_T_av(
-            g, rule, "worst_cut", runs, horizon,
-            seed=master, workers=workers,
-        )
-        e12 = len(g.edges_e12)
-        bound = 0.1 * g.n1 / e12
-        rows.append([
-            n, g.n1, g.n2, e12, rule.to_text(), runs, horizon,
-            run_seed(master, 0, 0), run_seed(master, 0, runs - 1),
-            est.t_hat, est.exceed_fraction_at_t_hat, bound,
-            est.t_hat >= bound, e12 * est.t_hat,
-            (1.0 - 1.0 / math.e) * g.n1 / 4.0,
-        ])
-        t_hats.append(est.t_hat)
-    slope = loglog_slope(list(n_values), t_hats)
-    return SweepTable(
-        CONVEX_SWEEP_COLUMNS, rows,
-        [f"loglog_slope_t_hat_vs_n={slope:.4f}"],
-    )
+    return _sweep_points(CONVEX_SWEEP_COLUMNS,
+                         partial(_convex_point, rule, runs, seed),
+                         n_values, workers)
 
 
 ALGA_SWEEP_COLUMNS = [
@@ -497,6 +539,32 @@ ALGA_SWEEP_COLUMNS = [
     "P", "runs", "horizon", "seed_start", "seed_end", "t_hat",
     "exceed_fraction", "censored", "ratio",
 ]
+
+
+def _alga_point(base: RuleDescriptor, runs: int, tvan_runs: int, seed: int,
+                p: int, n: int, workers: int) -> tuple[list, float]:
+    """Row and t_hat of point ``p`` (size ``n``) of the scheme sweep:
+    the period resolved from block averaging times, then the estimate."""
+    from .graph import build_barbell
+
+    g = build_barbell(n // 2, n // 2)
+    master = seed + _POINT_STRIDE * p
+    period, tv1, tv2 = resolve_period(g, base.c_const, master, tvan_runs)
+    rule = replace(base, period=period)
+    horizon = max(20.0, 6.0 * period)
+    est = estimate_T_av(
+        g, rule, "worst_cut", runs, horizon,
+        seed=master, workers=workers, censor_horizon=True,
+    )
+    ratio = est.t_hat / (math.log(n) * (tv1 + tv2) + 1.0)
+    row = [
+        n, g.n1, g.n2, rule.to_text(), base.gamma_mode,
+        resolve_gamma(g, base.gamma_mode, base.gamma_value), base.c_const,
+        tv1, tv2, period, runs, horizon, run_seed(master, 0, 0),
+        run_seed(master, 0, runs - 1), est.t_hat,
+        est.exceed_fraction_at_t_hat, est.censored, ratio,
+    ]
+    return row, est.t_hat
 
 
 def algA_scaling_sweep(
@@ -518,38 +586,13 @@ def algA_scaling_sweep(
     keeps the ratio meaningful when complete blocks drive the block
     averaging times toward zero.  With the "n1" gamma mode on equal
     blocks the block means swap instead of contracting, so runs are
-    horizon-censored rather than erroring.
+    horizon-censored rather than erroring.  ``workers`` >= 2 runs the
+    points in parallel processes (see :func:`_sweep_points`); the table
+    is the same for every value.
     """
-    from .graph import build_barbell
-
     base = RuleDescriptor(
         "algA", gamma_mode=gamma_mode, gamma_value=gamma_value, c_const=c_const
     )
-    rows = []
-    t_hats = []
-    for p, n in enumerate(n_values):
-        if n < 2 or n % 2:
-            raise ValueError("block family needs even n >= 2")
-        g = build_barbell(n // 2, n // 2)
-        master = seed + _POINT_STRIDE * p
-        period, tv1, tv2 = resolve_period(g, c_const, master, tvan_runs)
-        rule = replace(base, period=period)
-        horizon = max(20.0, 6.0 * period)
-        est = estimate_T_av(
-            g, rule, "worst_cut", runs, horizon,
-            seed=master, workers=workers, censor_horizon=True,
-        )
-        ratio = est.t_hat / (math.log(n) * (tv1 + tv2) + 1.0)
-        rows.append([
-            n, g.n1, g.n2, rule.to_text(), gamma_mode,
-            resolve_gamma(g, gamma_mode, gamma_value), c_const, tv1, tv2,
-            period, runs, horizon, run_seed(master, 0, 0),
-            run_seed(master, 0, runs - 1), est.t_hat,
-            est.exceed_fraction_at_t_hat, est.censored, ratio,
-        ])
-        t_hats.append(est.t_hat)
-    slope = loglog_slope(list(n_values), t_hats)
-    return SweepTable(
-        ALGA_SWEEP_COLUMNS, rows,
-        [f"loglog_slope_t_hat_vs_n={slope:.4f}"],
-    )
+    return _sweep_points(ALGA_SWEEP_COLUMNS,
+                         partial(_alga_point, base, runs, tvan_runs, seed),
+                         n_values, workers)

@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,6 +28,15 @@ DOMINANCE_MAX_RUNS = 200
 
 class ConfigError(ValueError):
     """Bad configuration value or file; maps to exit code 2."""
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 @dataclass
@@ -44,7 +54,7 @@ class ExperimentConfig:
     seed: int = 0
     out: str = ""
     n: str = "16,32,64,128"
-    workers: int = 1
+    workers: int = field(default_factory=_usable_cpus)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -431,7 +441,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--horizon", type=float, help="time horizon (default 24)")
     p.add_argument("--out", help="output path (default: command specific)")
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--workers", type=int, help="worker processes (default 1)")
+    p.add_argument("--workers", type=int,
+                   help="worker processes: a sweep runs its points in parallel, "
+                   "an estimate its runs in parts of at least 32 (default: the "
+                   "CPUs this process may use; 1 runs in this process)")
     p.add_argument("--x0", help="initial state policy: worst_cut | random")
 
 

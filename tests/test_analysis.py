@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -221,6 +222,50 @@ def test_estimator_deterministic_and_worker_invariant():
     assert np.array_equal(a.last_exceedances, c.last_exceedances)
 
 
+def test_estimator_worker_invariant_across_a_seed_split():
+    # 64 runs split into two parts of one lockstep group each
+    g = build_barbell(2, 2)
+    kw = dict(runs=64, horizon=30.0, seed=11)
+    a = estimate_T_av(g, VANILLA, "worst_cut", **kw)
+    c = estimate_T_av(g, VANILLA, "worst_cut", workers=2, **kw)
+    assert a.t_hat == c.t_hat
+    assert a.first_crossings.tobytes() == c.first_crossings.tobytes()
+    assert a.last_exceedances.tobytes() == c.last_exceedances.tobytes()
+
+
+def test_seed_split_never_below_a_lockstep_group(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    g = build_barbell(2, 2)
+    for runs in (30, 63, 64, 100):
+        estimate_T_av(g, VANILLA, "worst_cut", runs=runs, horizon=30.0,
+                      seed=11, workers=4)
+    assert sizes == [2, 3]
+
+
+@pytest.mark.parametrize("bad", [0, -3, True, 2.0])
+def test_workers_must_be_a_positive_integer(bad):
+    g = build_barbell(2, 2)
+    match = "workers must be an integer >= 1"
+    with pytest.raises(ValueError, match=match):
+        estimate_T_av(g, VANILLA, "worst_cut", runs=30, horizon=30.0, workers=bad)
+    # checked before the single-vertex shortcut
+    with pytest.raises(ValueError, match=match):
+        estimate_T_van(side_subgraph(build_barbell(1, 2), 1), runs=30, workers=bad)
+    with pytest.raises(ValueError, match=match):
+        convex_lower_bound_sweep([4], VANILLA, runs=30, workers=bad)
+    with pytest.raises(ValueError, match=match):
+        algA_scaling_sweep([4], runs=30, tvan_runs=30, workers=bad)
+
+
 def test_estimate_T_van_single_vertex():
     side = side_subgraph(build_barbell(1, 2), 1)
     assert estimate_T_van(side, runs=30, horizon=1.0) == 0.0
@@ -361,6 +406,42 @@ def test_alg_sweep_small():
     assert all(not c for c in table.column("censored"))
     assert all(g == 1.0 or g > 0 for g in table.column("gamma"))
     assert "slope" in table.comments[0]
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda **kw: convex_lower_bound_sweep([32, 16, 64], VANILLA, runs=30, **kw),
+    lambda **kw: algA_scaling_sweep([32, 16, 64], runs=30, tvan_runs=30, **kw),
+], ids=["convex", "algA"])
+def test_sweep_points_in_parallel_give_the_same_table(sweep):
+    one = sweep(seed=3, workers=1)
+    two = sweep(seed=3, workers=2)
+    assert one.column("n") == [32, 16, 64]
+    assert (two.rows, two.comments) == (one.rows, one.comments)
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_point_error_reaches_the_caller(monkeypatch):
+    import cutgossip.analysis as analysis
+
+    def fail(g, *args):
+        raise RuntimeError(f"no period for n={g.n}")
+
+    # a forked worker inherits the patch; other start methods re-import
+    if multiprocessing.get_start_method() == "fork":
+        monkeypatch.setattr(analysis, "resolve_period", fail)
+        with pytest.raises(RuntimeError, match=r"no period for n=(4|8)$"):
+            algA_scaling_sweep([4, 8], runs=30, tvan_runs=30, workers=2)
+    # an error the point itself raises, under any start method
+    with pytest.raises(ValueError, match="need at least 30 runs"):
+        convex_lower_bound_sweep([4, 8], VANILLA, runs=10, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_checks_every_n_before_it_starts():
+    for bad in ([4, 7], [4, 0]):
+        with pytest.raises(ValueError, match="even n >= 2"):
+            convex_lower_bound_sweep(bad, VANILLA, runs=30, workers=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_resolve_period_matches_sweep_row():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -99,6 +100,36 @@ def test_rejected_values_exit_2(capsys, argv):
         assert "--min-increments" in err
     if "barbell:1,1" in argv:  # every run is at consensus after one firing
         assert "consensus" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--n", "4,8", "--runs", "30"],
+    ["estimate", "--graph", "barbell:2,2", "--runs", "30"],
+    ["estimate", "--graph", "barbell:1,2", "--side", "1", "--runs", "30"],
+])
+@pytest.mark.parametrize("workers", ["0", "-2", "config"])
+def test_workers_below_one_exit_2(tmp_path, capsys, command, workers):
+    if workers == "config":
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("workers=0\n")
+        argv = command + ["--config", str(cfg)]
+    else:
+        argv = command + ["--workers", workers]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: workers must be an integer >= 1")
+
+
+def test_workers_default_to_the_usable_cpus(capsys):
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    assert ExperimentConfig().workers == cpus
+    argv = ["sweep", "--rule", "vanilla", "--n", "8,4,16", "--runs", "30",
+            "--seed", "2"]
+    one = run_cli(capsys, *argv, "--workers", "1")
+    assert run_cli(capsys, *argv, "--workers", "2") == one
+    assert run_cli(capsys, *argv) == one
 
 
 def test_estimate_two_vertex(tmp_path, capsys):
