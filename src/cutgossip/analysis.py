@@ -444,23 +444,28 @@ def loglog_slope(xs, ys) -> float:
                             np.log(np.asarray(ys, float)), 1)[0])
 
 
-def _sweep_points(columns, point, n_values, workers: int) -> SweepTable:
+def _sweep_points(columns, point, n_values, runs: int,
+                  workers: int) -> SweepTable:
     """The sweep table of ``point(p, n, w)`` -> (row, t_hat) over the
     points p of ``n_values``, with rows in the order of ``n_values``.
 
     Every point draws its seeds from its index, so the table does not
-    depend on ``workers``.  With ``workers`` >= 2 and two points or more,
-    one process pool runs the points, largest n first (the slowest point
+    depend on ``workers``.  When an estimate of ``runs`` runs can split
+    its seeds (two lockstep groups or more, see :func:`_run_batch`), or
+    ``workers`` < 2, or there is one point, the points run in this
+    process one after another with ``w`` = ``workers``.  Otherwise one
+    process pool runs the points, largest n first (the slowest point
     bounds the sweep, so it starts at once), each with ``w`` = 1, so no
-    pool is nested.  Otherwise the points run in this process with ``w``
-    = ``workers``.
+    pool is nested.  The point pool is only for estimates too small to
+    split: its wall time is at least that of the largest point on one
+    core, which is about half of the whole sweep on doubling n.
     """
     workers = _integer("workers", workers, 1)
     n_values = list(n_values)
     for n in n_values:
         if n < 2 or n % 2:
             raise ValueError("block family needs even n >= 2")
-    if workers < 2 or len(n_values) < 2:
+    if workers < 2 or len(n_values) < 2 or runs // _GROUP >= 2:
         done = [point(p, n, workers) for p, n in enumerate(n_values)]
     else:
         from concurrent.futures import ProcessPoolExecutor
@@ -524,14 +529,15 @@ def convex_lower_bound_sweep(
     Each row also reports the expected number of cross-edge ticks by the
     estimated time, |E12|*t_hat (each cross edge ticks at rate 1), next
     to the (1-1/e)*n1/4 ticks the bottleneck argument requires.
-    ``workers`` >= 2 runs the points in parallel processes (see
-    :func:`_sweep_points`); the table is the same for every value.
+    ``workers`` >= 2 runs the points, or each estimate's seeds, in
+    parallel processes (see :func:`_sweep_points`); the table is the same
+    for every value.
     """
     if rule.kind == "algA":
         raise ValueError("the sweep is for convex-class rules")
     return _sweep_points(CONVEX_SWEEP_COLUMNS,
                          partial(_convex_point, rule, runs, seed),
-                         n_values, workers)
+                         n_values, runs, workers)
 
 
 ALGA_SWEEP_COLUMNS = [
@@ -587,12 +593,12 @@ def algA_scaling_sweep(
     averaging times toward zero.  With the "n1" gamma mode on equal
     blocks the block means swap instead of contracting, so runs are
     horizon-censored rather than erroring.  ``workers`` >= 2 runs the
-    points in parallel processes (see :func:`_sweep_points`); the table
-    is the same for every value.
+    points, or each estimate's seeds, in parallel processes (see
+    :func:`_sweep_points`); the table is the same for every value.
     """
     base = RuleDescriptor(
         "algA", gamma_mode=gamma_mode, gamma_value=gamma_value, c_const=c_const
     )
     return _sweep_points(ALGA_SWEEP_COLUMNS,
                          partial(_alga_point, base, runs, tvan_runs, seed),
-                         n_values, workers)
+                         n_values, runs, workers)

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,6 +44,8 @@ class ExperimentConfig:
     """Flat experiment configuration; every field has a default.
 
     Stored as ``key=value`` lines; command-line flags override file values.
+    ``workers`` left unset (None) is the command's own default: the CPUs
+    this process may use for ``sweep``, 1 for ``estimate``.
     """
 
     graph: str = "barbell:8,8"
@@ -54,7 +56,7 @@ class ExperimentConfig:
     seed: int = 0
     out: str = ""
     n: str = "16,32,64,128"
-    workers: int = field(default_factory=_usable_cpus)
+    workers: int | None = None
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -82,7 +84,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{source}: unknown config key {key!r}")
             current = getattr(out, key)
             try:
-                if isinstance(current, int):
+                if current is None or isinstance(current, int):  # None: workers
                     setattr(out, key, int(val))
                 elif isinstance(current, float):
                     setattr(out, key, float(val))
@@ -196,11 +198,12 @@ def _initial_state(policy: str, g: graphmod.PartitionedGraph, seed: int):
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
+    workers = 1 if cfg.workers is None else cfg.workers
     g = parse_graph_spec(cfg.graph, cfg.seed)
     if args.side is not None:
         side = graphmod.side_subgraph(g, args.side)
         t_hat = analysis.estimate_T_van(
-            side, cfg.runs, cfg.horizon, seed=cfg.seed, workers=cfg.workers
+            side, cfg.runs, cfg.horizon, seed=cfg.seed, workers=workers
         )
         _emit(
             {
@@ -217,7 +220,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     rule = _resolved_rule(cfg, g)
     est = analysis.estimate_T_av(
         g, rule, cfg.x0, cfg.runs, cfg.horizon,
-        seed=cfg.seed, workers=cfg.workers,
+        seed=cfg.seed, workers=workers,
     )
     _emit(
         {
@@ -245,6 +248,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad n list {cfg.n!r}") from exc
     rule = parse_rule(cfg.rule)
+    workers = _usable_cpus() if cfg.workers is None else cfg.workers
     if rule.kind == "algA":
         table = analysis.algA_scaling_sweep(
             n_values,
@@ -253,11 +257,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             gamma_value=rule.gamma_value,
             runs=cfg.runs,
             seed=cfg.seed,
-            workers=cfg.workers,
+            workers=workers,
         )
     else:
         table = analysis.convex_lower_bound_sweep(
-            n_values, rule, cfg.runs, seed=cfg.seed, workers=cfg.workers
+            n_values, rule, cfg.runs, seed=cfg.seed, workers=workers
         )
     if cfg.out:
         table.to_csv(cfg.out)
@@ -442,9 +446,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path (default: command specific)")
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--workers", type=int,
-                   help="worker processes: a sweep runs its points in parallel, "
-                   "an estimate its runs in parts of at least 32 (default: the "
-                   "CPUs this process may use; 1 runs in this process)")
+                   help="worker processes: an estimate runs its runs in parts "
+                   "of at least 32, a sweep too small to split them runs its "
+                   "points in parallel (default: 1 for estimate, the CPUs this "
+                   "process may use for sweep)")
     p.add_argument("--x0", help="initial state policy: worst_cut | random")
 
 

@@ -420,6 +420,26 @@ def test_sweep_points_in_parallel_give_the_same_table(sweep):
     assert multiprocessing.active_children() == []
 
 
+def test_sweep_pools_points_only_when_seeds_cannot_split(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    # 30 runs are one group: one pool runs the three points
+    convex_lower_bound_sweep([4, 8, 6], VANILLA, runs=30, workers=4)
+    assert sizes == [3]
+    # 64 runs split in two: each point's estimate splits its seeds
+    convex_lower_bound_sweep([4, 8, 6], VANILLA, runs=64, workers=4)
+    assert sizes == [3, 2, 2, 2]
+    assert multiprocessing.active_children() == []
+
+
 def test_sweep_point_error_reaches_the_caller(monkeypatch):
     import cutgossip.analysis as analysis
 

@@ -121,15 +121,29 @@ def test_workers_below_one_exit_2(tmp_path, capsys, command, workers):
     assert err.startswith("error: workers must be an integer >= 1")
 
 
-def test_workers_default_to_the_usable_cpus(capsys):
+def test_workers_default_per_command(monkeypatch, capsys):
+    from cutgossip import analysis
+
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())
-    assert ExperimentConfig().workers == cpus
+    assert ExperimentConfig().workers is None
+    seen = {"estimate_T_av": [], "estimate_T_van": [], "convex_lower_bound_sweep": []}
+    for name, got in seen.items():
+        real = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda *a, real=real, got=got, **kw: (
+            got.append(kw["workers"]) or real(*a, **kw)))
+    assert run_cli(capsys, "estimate", "--graph", "barbell:2,2", "--runs", "30")[0] == 0
+    assert run_cli(capsys, "estimate", "--graph", "barbell:2,2", "--side", "1",
+                   "--runs", "30")[0] == 0
     argv = ["sweep", "--rule", "vanilla", "--n", "8,4,16", "--runs", "30",
             "--seed", "2"]
     one = run_cli(capsys, *argv, "--workers", "1")
     assert run_cli(capsys, *argv, "--workers", "2") == one
     assert run_cli(capsys, *argv) == one
+    # estimates default to one process, a sweep to every usable CPU
+    assert seen["estimate_T_av"][0] == 1
+    assert seen["estimate_T_van"] == [1]
+    assert seen["convex_lower_bound_sweep"] == [1, 2, cpus]
 
 
 def test_estimate_two_vertex(tmp_path, capsys):

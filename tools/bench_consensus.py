@@ -162,6 +162,29 @@ def summary(olds: list, news: list, better: str = "lower") -> dict:
     }
 
 
+def perfbench_pairs(old: str, new: str, workloads, seeds, n: int,
+                    seconds: float) -> dict:
+    """Per workload and seed, ``n`` interleaved ``perfbench`` runs of each
+    tree: the failed checks and a :func:`summary` per end-to-end metric.
+    Reports each workload's ``job_s`` medians on stderr as it goes."""
+    bounds = {"setup_s": "lower", "job_s": "lower", "runs_per_s": "higher",
+              "peak_rss_mb": "lower"}
+    out = {}
+    for workload in workloads:
+        for seed in seeds:
+            olds, news = pairs(n, lambda: perfbench(old, workload, seed, seconds),
+                               lambda: perfbench(new, workload, seed, seconds))
+            row = {"failed": {"old": sum(r["failed"] for r in olds),
+                              "new": sum(r["failed"] for r in news)}}
+            for metric, better in bounds.items():
+                row[metric] = summary([r[metric] for r in olds],
+                                      [r[metric] for r in news], better)
+            out[f"{workload} seed {seed}"] = row
+            print(f"{workload} seed {seed}: job_s {row['job_s']['old_median']} -> "
+                  f"{row['job_s']['new_median']}", file=sys.stderr)
+    return out
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("old")
@@ -187,22 +210,8 @@ def main() -> None:
         "median_s": summary([r["median_s"] for r in olds], [r["median_s"] for r in news]),
     }
 
-    bounds = {"setup_s": "lower", "job_s": "lower", "runs_per_s": "higher",
-              "peak_rss_mb": "lower"}
-    out["perfbench"] = {}
-    for workload in args.workloads.split(","):
-        for seed in seeds:
-            olds, news = pairs(
-                args.pairs, lambda: perfbench(args.old, workload, seed, args.seconds),
-                lambda: perfbench(args.new, workload, seed, args.seconds))
-            row = {"failed": {"old": sum(r["failed"] for r in olds),
-                              "new": sum(r["failed"] for r in news)}}
-            for metric, better in bounds.items():
-                row[metric] = summary([r[metric] for r in olds],
-                                      [r[metric] for r in news], better)
-            out["perfbench"][f"{workload} seed {seed}"] = row
-            print(f"{workload} seed {seed}: job_s {row['job_s']['old_median']} -> "
-                  f"{row['job_s']['new_median']}", file=sys.stderr)
+    out["perfbench"] = perfbench_pairs(args.old, args.new, args.workloads.split(","),
+                                       seeds, args.pairs, args.seconds)
     print(json.dumps(out, indent=1))
 
 

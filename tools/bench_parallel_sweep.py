@@ -1,4 +1,4 @@
-"""Measure the point-parallel sweep on two trees.
+"""Measure the parallel sweep and the CLI's --workers defaults on two trees.
 
 Usage, from the repository root:
 
@@ -7,29 +7,32 @@ Usage, from the repository root:
 
 OLD_ROOT and NEW_ROOT are source checkouts, each with ``src/`` and
 ``perfbench/`` (for example a ``git archive`` of the parent commit and
-this checkout).  Prints one JSON object with three parts:
+this checkout).  Prints one JSON object with four parts, each of
+``--pairs`` alternating pairs summed up as in ``bench_consensus.py``
+(every value, the medians, the interquartile range of the first side and
+the second side's wins):
 
-- ``perfbench``: per workload and seed, ``--pairs`` interleaved runs of
-  ``perfbench/run.py --trace 0 --seconds S`` on each tree (see
-  ``bench_consensus.py``): every run's end-to-end metrics, their
-  medians, the interquartile range of the old tree's runs and how many
-  pairs the new tree won.
+- ``perfbench``: per workload and seed, interleaved runs of
+  ``perfbench/run.py --trace 0 --seconds S`` on each tree.
 - ``rss``: per tree and seed, one fresh interpreter runs the
   ``scheme_sweep`` job once and reports its own peak RSS and that of its
   largest child process (``RUSAGE_CHILDREN``; 0 when no child ran).
-- ``workers``: NEW_ROOT's ``cutgossip sweep`` (the ``scheme_sweep``
-  arguments, at 30 and at 100 runs per point) in one interpreter with
-  ``--workers`` 1 and 2 in alternating order: the median wall and CPU
-  time of the parent process, and the children's CPU time.
+- ``workers``: NEW_ROOT's CLI in one interpreter per command, with
+  ``--workers 1`` ("old") and ``--workers 2`` ("new") in alternating
+  order: the wall time, and the CPU time of the process and its
+  children.  The commands are the ``scheme_sweep`` sweep at 30 and at
+  100 runs per point, and ``estimate`` and ``estimate --side 1`` at
+  their defaults.
+- ``sweeps``: two sweeps whose estimates split their seeds, each run in
+  a fresh interpreter per tree, alternating: the wall and CPU time.
 """
 
 import argparse
 import json
 import os
-import subprocess
 import sys
 
-from bench_consensus import pairs, perfbench, summary
+from bench_consensus import pairs, perfbench_pairs, python, summary
 
 RSS = r"""
 import json, resource, sys, tempfile
@@ -47,35 +50,49 @@ print(json.dumps({"self_mb": mb[resource.RUSAGE_SELF],
                   "children_mb": mb[resource.RUSAGE_CHILDREN]}))
 """
 
-WORKERS = r"""
-import contextlib, io, json, os, statistics, sys, time
+# (wall, cpu) of cli.main on each argv, the CPU time counting children
+TIME = r"""
+import contextlib, io, json, os, sys, time
 from pathlib import Path
-root, runs, reps = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])
-sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+sys.path[:0] = [str(Path(sys.argv[1]) / "src"), str(Path(sys.argv[1]) / "perfbench")]
 from cutgossip import cli
-import workloads
-argv = workloads.SchemeSweep(root).setup(3)["argv"]
-argv[argv.index("--runs") + 1] = runs
-got = {"1": [], "2": []}
-for k in range(reps):
-    for w in ("1", "2") if k % 2 == 0 else ("2", "1"):
-        t0, c0 = time.perf_counter(), os.times()
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(argv + ["--workers", w]) == 0
-        c1 = os.times()
-        got[w].append((time.perf_counter() - t0, c1.user + c1.system - c0.user - c0.system,
-                       c1.children_user + c1.children_system
-                       - c0.children_user - c0.children_system))
-print(json.dumps({w: {key: round(statistics.median(r[i] for r in rows), 4)
-                      for i, key in enumerate(("wall_s", "parent_cpu_s", "children_cpu_s"))}
-                  for w, rows in got.items()}))
+out = []
+for argv in json.loads(sys.argv[2]):
+    if argv[0] == "scheme_sweep":  # its argv at argv[1] runs, then the rest
+        import workloads
+        runs, tail = argv[1], argv[2:]
+        argv = workloads.SchemeSweep(Path(".")).setup(3)["argv"] + tail
+        argv[argv.index("--runs") + 1] = runs
+    t0, c0 = time.perf_counter(), os.times()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    c1 = os.times()
+    out.append((time.perf_counter() - t0, sum(c1[:4]) - sum(c0[:4])))
+print(json.dumps(out))
 """
 
+SCHEME = ["scheme_sweep"]  # TIME reads the scheme_sweep workload's argv
+WORKERS = {
+    "scheme_sweep, 30 runs": SCHEME + ["30"],
+    "scheme_sweep, 100 runs": SCHEME + ["100"],
+    "estimate": ["estimate"],
+    "estimate --side 1": ["estimate", "--side", "1"],
+}
+SWEEPS = {
+    "scheme_sweep, 100 runs, --workers 2": SCHEME + ["100", "--workers", "2"],
+    "sweep --n 64,128 --runs 320 --workers 8":
+        ["sweep", "--n", "64,128", "--runs", "320", "--workers", "8"],
+}
 
-def python(script: str, *argv: str) -> dict:
-    done = subprocess.run([sys.executable, "-c", script, *argv], check=True,
-                          stdout=subprocess.PIPE, text=True)
-    return json.loads(done.stdout)
+
+def timed(root: str, *argvs: list) -> list:
+    """[wall, cpu] of each argv, run in turn in one fresh interpreter."""
+    return python(root, TIME, os.path.abspath(root), json.dumps(argvs))
+
+
+def wall_and_cpu(olds: list, news: list) -> dict:
+    return {key: summary([r[i] for r in olds], [r[i] for r in news])
+            for i, key in enumerate(("wall_s", "cpu_s"))}
 
 
 def main() -> None:
@@ -85,40 +102,37 @@ def main() -> None:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seeds", default="3,20241")
     p.add_argument("--seconds", type=float, default=15.0)
-    p.add_argument("--workloads", default="scheme_sweep,trace_epochs")
-    p.add_argument("--reps", type=int, default=7,
-                   help="runs per --workers value in the workers part")
     args = p.parse_args()
-    if args.pairs < 1 or args.reps < 1:
-        p.error("--pairs and --reps must be at least 1")
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
     seeds = [int(s) for s in args.seeds.split(",")]
     out = {"pairs": args.pairs, "seconds": args.seconds}
 
     out["rss"] = {
-        side: {seed: python(RSS, os.path.abspath(root), str(seed)) for seed in seeds}
+        side: {seed: python(root, RSS, os.path.abspath(root), str(seed)) for seed in seeds}
         for side, root in (("old", args.old), ("new", args.new))
     }
-    out["workers"] = {
-        runs: python(WORKERS, os.path.abspath(args.new), runs, str(args.reps))
-        for runs in ("30", "100")
-    }
 
-    bounds = {"setup_s": "lower", "job_s": "lower", "runs_per_s": "higher",
-              "peak_rss_mb": "lower"}
-    out["perfbench"] = {}
-    for workload in args.workloads.split(","):
-        for seed in seeds:
-            olds, news = pairs(
-                args.pairs, lambda: perfbench(args.old, workload, seed, args.seconds),
-                lambda: perfbench(args.new, workload, seed, args.seconds))
-            row = {"failed": {"old": sum(r["failed"] for r in olds),
-                              "new": sum(r["failed"] for r in news)}}
-            for metric, better in bounds.items():
-                row[metric] = summary([r[metric] for r in olds],
-                                      [r[metric] for r in news], better)
-            out["perfbench"][f"{workload} seed {seed}"] = row
-            print(f"{workload} seed {seed}: runs_per_s {row['runs_per_s']['old_median']} "
-                  f"-> {row['runs_per_s']['new_median']}", file=sys.stderr)
+    out["workers"] = {}
+    for name, argv in WORKERS.items():
+        # one interpreter runs all pairs, so their imports are paid once
+        order = [w for k in range(args.pairs)
+                 for w in (("1", "2") if k % 2 == 0 else ("2", "1"))]
+        runs = timed(args.new, *[argv + ["--workers", w] for w in order])
+        out["workers"][name] = wall_and_cpu(
+            [r for w, r in zip(order, runs) if w == "1"],
+            [r for w, r in zip(order, runs) if w == "2"])
+
+    out["sweeps"] = {}
+    for name, argv in SWEEPS.items():
+        olds, news = pairs(args.pairs, lambda: timed(args.old, argv)[0],
+                           lambda: timed(args.new, argv)[0])
+        out["sweeps"][name] = wall_and_cpu(olds, news)
+        print(f"{name}: wall_s {out['sweeps'][name]['wall_s']['old_median']} -> "
+              f"{out['sweeps'][name]['wall_s']['new_median']}", file=sys.stderr)
+
+    out["perfbench"] = perfbench_pairs(args.old, args.new, ["scheme_sweep", "trace_epochs"],
+                                       seeds, args.pairs, args.seconds)
     print(json.dumps(out, indent=1))
 
 
