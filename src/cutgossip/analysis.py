@@ -72,9 +72,11 @@ _POINT_STRIDE = 104_729
 # runs in the CLI.
 STREAM_RANDOM_X0 = 900
 STREAM_DOMINANCE = 5
-# Period resolution shifts the master by these for block one's and two's T_van.
+# Period resolution shifts the master by these for block one's and two's
+# T_van; the scheme sweep estimates each with _TVAN_RUNS runs.
 _TVAN1_OFFSET = 500_000_003
 _TVAN2_OFFSET = 600_000_007
+_TVAN_RUNS = 100
 
 
 class DegenerateInitialStateError(ValueError):
@@ -165,6 +167,24 @@ class AveragingTimeEstimate:
     censored: bool = False
 
 
+def _pooled(fn, calls: list[tuple], workers: int, order=None) -> list:
+    """``[fn(*args) for args in calls]``, computed in a pool of up to
+    ``workers`` processes.  The calls are submitted in the order of the
+    indices ``order`` (default: as given), and the results come back in
+    the order of ``calls``.  After an error, the calls not yet started are
+    cancelled; either way the running ones are waited for, so no worker
+    outlives the call."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(calls)))
+    try:
+        futures = {i: pool.submit(fn, *calls[i])
+                   for i in (range(len(calls)) if order is None else order)}
+        return [futures[i].result() for i in range(len(calls))]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _run_batch(graph, rule, x0, seeds, horizon: float, workers: int):
     """(first crossings, last exceedances) of one estimator run per seed,
     with the seeds split into up to ``workers`` parts run in parallel.
@@ -175,13 +195,9 @@ def _run_batch(graph, rule, x0, seeds, horizon: float, workers: int):
     parts = min(workers, len(seeds) // _GROUP)
     if parts < 2:
         return run(seeds)
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = [seeds[len(seeds) * w // parts : len(seeds) * (w + 1) // parts]
+    chunks = [(seeds[len(seeds) * w // parts : len(seeds) * (w + 1) // parts],)
               for w in range(parts)]
-    with ProcessPoolExecutor(max_workers=parts) as pool:
-        done = list(pool.map(run, chunks))
-    return tuple(np.concatenate(col) for col in zip(*done))
+    return tuple(np.concatenate(col) for col in zip(*_pooled(run, chunks, parts)))
 
 
 def estimate_T_av(
@@ -334,13 +350,13 @@ class EpochOperator:
     spectral_norm: float
 
 
-def epoch_operator(graph, rule: RuleDescriptor, events, index: int = 0) -> EpochOperator:
+def epoch_operator(graph, rule: RuleDescriptor, events) -> EpochOperator:
     """Compose the elementary per-event maps of an epoch, in event order.
 
     ``events`` is an :class:`EventLog` slice (or any iterable of
     (time, edge, case) records); applying the resulting matrix to the
     epoch's start state reproduces its end state up to roundoff relative
-    to the input scale.
+    to the input scale.  Its ``index`` is 0.
     """
     if isinstance(events, EventLog):
         edges, cases = events.edges, events.cases
@@ -348,7 +364,7 @@ def epoch_operator(graph, rule: RuleDescriptor, events, index: int = 0) -> Epoch
         edges, cases = np.array([(e, c) for _t, e, c in events], dtype=np.int64).reshape(-1, 2).T
     a = _composed(graph, rule, edges, cases, np.zeros(1, np.int64), np.array([len(edges)]))
     matrix = a[: graph.view.n]
-    return EpochOperator(matrix, index, spectral_norm(matrix))
+    return EpochOperator(matrix, 0, spectral_norm(matrix))
 
 
 def epoch_operators(trace: SimTrace, graph, rule: RuleDescriptor) -> list[EpochOperator]:
@@ -468,17 +484,9 @@ def _sweep_points(columns, point, n_values, runs: int,
     if workers < 2 or len(n_values) < 2 or runs // _GROUP >= 2:
         done = [point(p, n, workers) for p, n in enumerate(n_values)]
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(n_values)))
-        try:
-            futures = {p: pool.submit(point, p, n, 1) for p, n in
-                       sorted(enumerate(n_values), key=lambda pn: -pn[1])}
-            done = [futures[p].result() for p in range(len(n_values))]
-        finally:
-            # after an error, drop the points not yet started; either way
-            # wait for the running ones, so no worker outlives the sweep
-            pool.shutdown(cancel_futures=True)
+        largest_first = sorted(range(len(n_values)), key=lambda p: -n_values[p])
+        done = _pooled(point, [(p, n, 1) for p, n in enumerate(n_values)],
+                       workers, largest_first)
     slope = loglog_slope(n_values, [t_hat for _, t_hat in done])
     return SweepTable(columns, [row for row, _ in done],
                       [f"loglog_slope_t_hat_vs_n={slope:.4f}"])
@@ -547,15 +555,15 @@ ALGA_SWEEP_COLUMNS = [
 ]
 
 
-def _alga_point(base: RuleDescriptor, runs: int, tvan_runs: int, seed: int,
-                p: int, n: int, workers: int) -> tuple[list, float]:
+def _alga_point(base: RuleDescriptor, runs: int, seed: int, p: int, n: int,
+                workers: int) -> tuple[list, float]:
     """Row and t_hat of point ``p`` (size ``n``) of the scheme sweep:
     the period resolved from block averaging times, then the estimate."""
     from .graph import build_barbell
 
     g = build_barbell(n // 2, n // 2)
     master = seed + _POINT_STRIDE * p
-    period, tv1, tv2 = resolve_period(g, base.c_const, master, tvan_runs)
+    period, tv1, tv2 = resolve_period(g, base.c_const, master, _TVAN_RUNS)
     rule = replace(base, period=period)
     horizon = max(20.0, 6.0 * period)
     est = estimate_T_av(
@@ -581,24 +589,24 @@ def algA_scaling_sweep(
     *,
     seed: int = 0,
     gamma_value: float | None = None,
-    tvan_runs: int = 100,
     workers: int = 1,
 ) -> SweepTable:
     """Averaging-time scaling of the periodic scheme on equal-block
     barbells.
 
     The firing period is resolved per point from block averaging-time
-    estimates.  The ratio column divides by ln(n)*(T1+T2) + 1; the +1
-    keeps the ratio meaningful when complete blocks drive the block
-    averaging times toward zero.  With the "n1" gamma mode on equal
-    blocks the block means swap instead of contracting, so runs are
-    horizon-censored rather than erroring.  ``workers`` >= 2 runs the
-    points, or each estimate's seeds, in parallel processes (see
-    :func:`_sweep_points`); the table is the same for every value.
+    estimates of :data:`_TVAN_RUNS` runs each.  The ratio column divides
+    by ln(n)*(T1+T2) + 1; the +1 keeps the ratio meaningful when complete
+    blocks drive the block averaging times toward zero.  With the "n1"
+    gamma mode on equal blocks the block means swap instead of
+    contracting, so runs are horizon-censored rather than erroring.
+    ``workers`` >= 2 runs the points, or each estimate's seeds, in
+    parallel processes (see :func:`_sweep_points`); the table is the same
+    for every value.
     """
     base = RuleDescriptor(
         "algA", gamma_mode=gamma_mode, gamma_value=gamma_value, c_const=c_const
     )
     return _sweep_points(ALGA_SWEEP_COLUMNS,
-                         partial(_alga_point, base, runs, tvan_runs, seed),
+                         partial(_alga_point, base, runs, seed),
                          n_values, runs, workers)

@@ -391,24 +391,17 @@ def _check_invariants(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
             record_states=True,
         ),
     )
-    decomposition_ok = True
-    sqrt_n = math.sqrt(g.n)
-    for i in range(trace2.n_samples):
-        st = trace2.states[i]
-        d = analysis.decompose(st, g)
-        lhs = d.var
-        rhs = d.sigma**2 + (g.n1 * d.mu1**2 + g.n2 * d.mu2**2) / g.n
-        if abs(lhs - rhs) > 1e-9 * max(lhs, rhs) + 1e-280:
-            decomposition_ok = False
-            break
-        if lhs < g.n1 * d.mu1**2 / g.n - 1e-9 * max(lhs, 1e-280):
-            decomposition_ok = False
-            break
-        c = st - st.mean()
-        dev = max(abs(c[g.n1 - 1] - d.mu1), abs(c[g.n1] - d.mu2))
-        if dev > sqrt_n * d.sigma * (1 + 1e-9) + 1e-280:
-            decomposition_ok = False
-            break
+    # the trace's metric columns, from the sampled states; the endpoint
+    # deviations from the states themselves
+    var, mu1, mu2, sigma = trace2.var, trace2.mu1, trace2.mu2, trace2.sigma
+    rhs = sigma**2 + (g.n1 * mu1**2 + g.n2 * mu2**2) / g.n
+    c = trace2.states - trace2.states.mean(axis=1, keepdims=True)
+    dev = np.maximum(abs(c[:, g.n1 - 1] - mu1), abs(c[:, g.n1] - mu2))
+    decomposition_ok = not np.any(
+        (abs(var - rhs) > 1e-9 * np.maximum(var, rhs) + 1e-280)
+        | (var < g.n1 * mu1**2 / g.n - 1e-9 * np.maximum(var, 1e-280))
+        | (dev > math.sqrt(g.n) * sigma * (1 + 1e-9) + 1e-280)
+    )
 
     return {
         "check": "invariants",

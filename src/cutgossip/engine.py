@@ -77,9 +77,10 @@ class StateVector:
     initial_sum: float
 
     @classmethod
-    def from_values(cls, values, time: float = 0.0) -> "StateVector":
+    def from_values(cls, values) -> "StateVector":
+        """A copy of ``values`` at time 0."""
         arr = np.asarray(values, dtype=float).copy()
-        return cls(arr, time, _fsum(arr.tolist()))
+        return cls(arr, 0.0, _fsum(arr.tolist()))
 
 
 @dataclass(frozen=True)
@@ -277,8 +278,6 @@ class _Clocks:
     def __init__(self, graph, rule, seeds, cap: int, max_time: float | None) -> None:
         self.kind = graph.view.kind
         self.rc = rc = compile_rule(graph, rule)
-        self.kind_case = np.array([rc.intra, rc.intra, rc.cross, rc.cross],
-                                  dtype=np.int8)  # per KIND_*
         self.cap = cap
         self.max_time = math.inf if max_time is None else max_time
         self.rngs = [np.random.default_rng(np.random.PCG64(s)) for s in seeds]
@@ -316,7 +315,7 @@ class _Clocks:
         # is several times faster than a 2-D one
         e = self.edges[:R, lo:hi].astype(np.intp)
         kinds = self.kind.take(e)
-        cases = self.kind_case.take(kinds)
+        cases = self.rc._kind_case.take(kinds)
         cuts = fired = _NO_TICKS
         if self.find_cuts:
             flat = (kinds == KIND_CUT).ravel().nonzero()[0]  # grouped by run
@@ -525,8 +524,6 @@ def _block_states(start: np.ndarray, U: np.ndarray, V: np.ndarray,
     running maximum down the rows carries the latest write forward.  A slab
     holds about :data:`_TABLE` entries, so large graphs stay in memory.
     """
-    if not len(points):
-        return
     n = len(start)
     src = np.concatenate((start, writes.ravel()))
     slab = max(1, _TABLE // n - 1)
@@ -837,7 +834,7 @@ def _lockstep(graph, rule, x, ss, seeds, max_time, first, last) -> None:
     # Row r's values sit at w*r .. w*r+n-1, followed by two scratch slots:
     # a no-op edge averages those instead of its endpoints.
     w = n + 2
-    noop = clocks.kind_case.take(kind) == _NOOP
+    noop = clocks.rc._kind_case.take(kind) == _NOOP
     step_u = np.where(noop, n, eu)
     step_v = np.where(noop, n + 1, ev)
     rows = np.arange(R)  # the run of each row still in the group

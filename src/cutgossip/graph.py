@@ -220,8 +220,7 @@ def validate(g: PartitionedGraph) -> None:
 
 
 def _check_new(seen: set[frozenset[int]], u: int, v: int) -> None:
-    if u == v:
-        raise GraphValidationError(f"self-loop at vertex {u}")
+    # the range checks before it give u < v: no self-loop reaches here
     key = frozenset((u, v))
     if key in seen:
         raise GraphValidationError(f"duplicate edge ({u},{v})")

@@ -90,12 +90,12 @@ class RuleDescriptor:
             if self.gamma_mode not in GAMMA_MODES:
                 raise ValueError(f"unknown gamma mode {self.gamma_mode!r}")
             if self.gamma_mode == "explicit":
-                if self.gamma_value is None or self.gamma_value <= 0:
-                    raise ValueError("explicit gamma must be positive")
+                if self.gamma_value is None or not 0 < self.gamma_value < math.inf:
+                    raise ValueError("explicit gamma must be positive and finite")
             elif self.gamma_value is not None:
                 raise ValueError("gamma_value requires gamma_mode='explicit'")
-            if not self.c_const > 0:
-                raise ValueError("c_const must be positive")
+            if not 0 < self.c_const < math.inf:
+                raise ValueError("c_const must be positive and finite")
         elif self.period is not None:
             raise ValueError("period is only meaningful for the algA rule")
 
@@ -209,14 +209,18 @@ def resolve_gamma(
 
 
 def compute_period(t_van1: float, t_van2: float, n: float, c_const: float) -> int:
-    """Firing period: ceil(C * (T1 + T2) * ln n), floored at 1."""
+    """Firing period: ceil(C * (T1 + T2) * ln n), floored at 1; a
+    ValueError when the product is not finite."""
     if t_van1 < 0 or t_van2 < 0:
         raise ValueError("averaging times must be nonnegative")
     if n < 2:
         raise ValueError("need at least two vertices")
     if not c_const > 0:
         raise ValueError("c_const must be positive")
-    return max(1, math.ceil(c_const * (t_van1 + t_van2) * math.log(n)))
+    period = c_const * (t_van1 + t_van2) * math.log(n)
+    if not math.isfinite(period):
+        raise ValueError(f"the firing period C*(T1+T2)*ln(n) = {period} is not finite")
+    return max(1, math.ceil(period))
 
 
 @dataclass(frozen=True)
@@ -228,7 +232,8 @@ class CompiledRule:
     k % period == phase; phase -1 never fires.  The periodic scheme has
     phase period - 1, so ticks period - 1, 2*period - 1, ... fire (every
     tick when period is 1).  Case codes are plain ints.
-    ``_edges`` holds per edge of the graph's view the tuple (u, v, 1 << kind,
+    ``_kind_case`` holds the default case per edge kind (KIND_*), as int8,
+    and ``_edges`` per edge of the graph's view the tuple (u, v, 1 << kind,
     default case), as an object array that a block of edges indexes at once.
     """
 
@@ -238,6 +243,7 @@ class CompiledRule:
     phase: int
     alpha: float
     gamma: float
+    _kind_case: np.ndarray = field(compare=False, repr=False)  # follows from intra, cross
     _edges: np.ndarray = field(compare=False, repr=False)  # follows from the graph
 
     def fires(self, k):
@@ -254,9 +260,11 @@ def compile_rule(graph, rule: RuleDescriptor) -> CompiledRule:
     if compiled is None:
         head = _compile_rule(graph, rule)
         _, _, eu, ev, kind = graph.view
-        default = np.repeat(head[:2], 2)  # per KIND_*: intra, intra, cross, cross
+        # per KIND_*: intra, intra, cross, cross
+        default = np.repeat(np.array(head[:2], np.int8), 2)
         rows = zip(eu.tolist(), ev.tolist(), (1 << kind).tolist(), default.take(kind).tolist())
-        compiled = memo[rule] = CompiledRule(*head, np.fromiter(rows, object, len(kind)))
+        compiled = memo[rule] = CompiledRule(*head, default,
+                                             np.fromiter(rows, object, len(kind)))
     return compiled
 
 

@@ -11,7 +11,7 @@ increments implies the existence of the coupled dominating walk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,17 +72,7 @@ class DominanceReport:
     passed: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "count": self.count,
-            "slack": self.slack,
-            "quantiles": self.quantiles,
-            "heavy_epoch_fraction": self.heavy_epoch_fraction,
-            "max_increment": self.max_increment,
-            "cap": self.cap,
-            "cap_ok": self.cap_ok,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 # Quantile levels at which dominance is tested.
@@ -98,8 +88,10 @@ def dominance_check(increments, n: int, slack: float = 0.0) -> DominanceReport:
     -(3/2)log(n), i.e. epochs whose realized squared-norm growth was at
     least 1/n^3 (the dominating walk puts probability 1/2 on its lower
     atom, so this fraction staying near or below 1/2 is what makes the
-    domination work).
+    domination work).  A slack that is not finite is a ValueError.
     """
+    if not math.isfinite(slack):
+        raise ValueError(f"slack must be finite, got {slack!r}")
     incr = np.asarray(increments, dtype=float)
     if incr.size < MIN_INCREMENTS:
         raise ValueError(f"need at least {MIN_INCREMENTS} increments, got {incr.size}")

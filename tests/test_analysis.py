@@ -100,6 +100,8 @@ def test_x0_constructors():
     assert abs(w.sum()) < 1e-12
     b = bisection_x0(2)
     assert b.tolist() == [1.0, -1.0]
+    with pytest.raises(ValueError, match="two vertices"):
+        bisection_x0(1)
     r = random_x0(64, np.random.default_rng(1))
     assert abs(r.mean()) < 1e-12
     assert float(r @ r) / 64 == pytest.approx(1.0, rel=1e-9)
@@ -126,6 +128,17 @@ def test_estimator_degenerate_x0():
     g = build_barbell(2, 2)
     with pytest.raises(DegenerateInitialStateError):
         estimate_T_av(g, VANILLA, np.zeros(4), runs=30, horizon=5.0)
+
+
+def test_estimators_reject_a_policy_or_graph_they_cannot_use():
+    g = build_barbell(2, 2)
+    side = side_subgraph(g, 2)
+    with pytest.raises(ValueError, match="worst_cut needs a partitioned graph"):
+        estimate_T_av(side, VANILLA, "worst_cut", runs=30, horizon=5.0)
+    with pytest.raises(ValueError, match="unknown x0 policy"):
+        estimate_T_av(g, VANILLA, "bogus", runs=30, horizon=5.0)
+    with pytest.raises(TypeError, match="SideGraph"):
+        estimate_T_van(g, runs=30)
 
 
 def test_estimator_rejects_a_start_of_the_wrong_shape():
@@ -263,7 +276,7 @@ def test_workers_must_be_a_positive_integer(bad):
     with pytest.raises(ValueError, match=match):
         convex_lower_bound_sweep([4], VANILLA, runs=30, workers=bad)
     with pytest.raises(ValueError, match=match):
-        algA_scaling_sweep([4], runs=30, tvan_runs=30, workers=bad)
+        algA_scaling_sweep([4], runs=30, workers=bad)
 
 
 def test_estimate_T_van_single_vertex():
@@ -399,7 +412,7 @@ def test_convex_sweep_rejects_alg_rule():
 
 
 def test_alg_sweep_small():
-    table = algA_scaling_sweep([4, 8], runs=30, tvan_runs=30, seed=3)
+    table = algA_scaling_sweep([4, 8], runs=30, seed=3)
     assert len(table.rows) == 2
     assert all(p >= 1 for p in table.column("P"))
     assert all(r > 0 for r in table.column("ratio"))
@@ -410,7 +423,7 @@ def test_alg_sweep_small():
 
 @pytest.mark.parametrize("sweep", [
     lambda **kw: convex_lower_bound_sweep([32, 16, 64], VANILLA, runs=30, **kw),
-    lambda **kw: algA_scaling_sweep([32, 16, 64], runs=30, tvan_runs=30, **kw),
+    lambda **kw: algA_scaling_sweep([32, 16, 64], runs=30, **kw),
 ], ids=["convex", "algA"])
 def test_sweep_points_in_parallel_give_the_same_table(sweep):
     one = sweep(seed=3, workers=1)
@@ -450,7 +463,7 @@ def test_sweep_point_error_reaches_the_caller(monkeypatch):
     if multiprocessing.get_start_method() == "fork":
         monkeypatch.setattr(analysis, "resolve_period", fail)
         with pytest.raises(RuntimeError, match=r"no period for n=(4|8)$"):
-            algA_scaling_sweep([4, 8], runs=30, tvan_runs=30, workers=2)
+            algA_scaling_sweep([4, 8], runs=30, workers=2)
     # an error the point itself raises, under any start method
     with pytest.raises(ValueError, match="need at least 30 runs"):
         convex_lower_bound_sweep([4, 8], VANILLA, runs=10, workers=2)
@@ -465,9 +478,9 @@ def test_sweep_checks_every_n_before_it_starts():
 
 
 def test_resolve_period_matches_sweep_row():
-    period, tv1, tv2 = resolve_period(build_barbell(4, 4), 4.0, seed=3, runs=30)
+    period, tv1, tv2 = resolve_period(build_barbell(4, 4), 4.0, seed=3, runs=100)
     assert period == compute_period(tv1, tv2, 8, 4.0)
-    table = algA_scaling_sweep([8], runs=30, tvan_runs=30, seed=3)
+    table = algA_scaling_sweep([8], runs=30, seed=3)
     assert (table.column("P"), table.column("tvan1"), table.column("tvan2")) == (
         [period], [tv1], [tv2]
     )
@@ -488,7 +501,7 @@ def test_resolve_period_on_slow_path_blocks():
 def test_alg_sweep_n1_mode_censors_on_equal_blocks():
     # with gamma = n1 and equal blocks the block means swap forever, so
     # runs never settle and rows are horizon-censored
-    table = algA_scaling_sweep([8], gamma_mode="n1", runs=30, tvan_runs=30, seed=4)
+    table = algA_scaling_sweep([8], gamma_mode="n1", runs=30, seed=4)
     assert table.column("censored") == [True]
 
 

@@ -68,6 +68,28 @@ def test_simulate_deterministic_output(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_simulate_random_start(tmp_path, monkeypatch, capsys):
+    from cutgossip import engine
+
+    starts = []
+    real = engine.simulate
+    monkeypatch.setattr(engine, "simulate", lambda g, rule, x0, cfg: (
+        starts.append(x0) or real(g, rule, x0, cfg)))
+    paths = [tmp_path / f"{name}.jsonl" for name in ("a", "b", "c")]
+    for path, seed in zip(paths, ("5", "5", "6")):
+        code, _, _ = run_cli(
+            capsys, "simulate", "--graph", "barbell:4,4", "--x0", "random",
+            "--seed", seed, "--max-events", "100", "--out", str(path),
+        )
+        assert code == 0
+    a, b, c = (path.read_bytes() for path in paths)
+    assert a == b and a != c
+    for x0 in starts:
+        assert abs(x0.mean()) < 1e-12
+        assert float(x0 @ x0) / len(x0) == pytest.approx(1.0, rel=1e-12)
+    assert starts[0].tobytes() == starts[1].tobytes() != starts[2].tobytes()
+
+
 def test_simulate_requires_stop(capsys):
     code, _, err = run_cli(capsys, "simulate", "--graph", "barbell:2,2")
     assert code == 2
@@ -91,9 +113,30 @@ def test_malformed_rule_exits_2(capsys):
     ["check", "dominance", "--graph", "barbell:4,4", "--rule", "algA:P=3",
      "--min-increments", "10"],
     ["check", "dominance", "--graph", "barbell:1,1", "--rule", "algA:P=3"],
+    # rule constants and a slack that are not finite
+    ["estimate", "--graph", "barbell:4,4", "--rule", "algA:C=inf", "--runs", "30",
+     "--horizon", "20"],
+    ["sweep", "--n", "4", "--runs", "30", "--rule", "algA:gamma=balanced,C=1e308"],
+    ["estimate", "--graph", "barbell:4,4", "--rule", "algA:gamma=inf,P=3",
+     "--runs", "30", "--horizon", "20"],
+    ["check", "dominance", "--graph", "barbell:4,4", "--rule", "algA:P=3",
+     "--slack", "inf"],
+    ["check", "dominance", "--graph", "barbell:4,4", "--rule", "algA:P=3",
+     "--slack", "nan"],
+    # a sweep family or size list, a start policy, or a config file
+    ["sweep", "--family", "ring", "--n", "4", "--runs", "30"],
+    ["sweep", "--n", "4,x", "--runs", "30"],
+    ["simulate", "--graph", "barbell:2,2", "--x0", "bogus", "--max-events", "10"],
+    ["estimate", "--config", "no-equals.cfg"],
+    ["estimate", "--config", "missing.cfg"],
+    ["estimate", "--config", "bad-value.cfg"],
 ])
-def test_rejected_values_exit_2(capsys, argv):
-    code, _, err = run_cli(capsys, *argv)
+def test_rejected_values_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "no-equals.cfg").write_text("runs 30\n")
+    (tmp_path / "bad-value.cfg").write_text("runs=many\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert out == ""
     assert code == 2
     assert err.startswith("error: ")
     if "--min-increments" in argv:  # rejected before any simulation
@@ -277,6 +320,29 @@ def test_check_invariants(capsys):
     report = json.loads(stdout)
     assert report["conservation_ok"] and report["locality_ok"]
     assert report["decomposition_ok"]
+
+
+@pytest.mark.parametrize("column, at", [
+    ("var", 3), ("mu1", 3), ("sigma", 3), ("states", (3, 7)),
+])
+def test_check_invariants_fails_on_wrong_metric_columns(monkeypatch, capsys, column, at):
+    # the battery checks the sampled trace's own metric columns against
+    # each other and against its states, so a corrupted entry must fail it
+    from cutgossip import engine
+
+    real = engine.simulate
+
+    def corrupted(g, rule, x0, cfg):
+        trace = real(g, rule, x0, cfg)
+        if cfg.record_states:
+            getattr(trace, column)[at] += 100.0
+        return trace
+
+    monkeypatch.setattr(engine, "simulate", corrupted)
+    code, stdout, _ = run_cli(capsys, "check", "invariants", "--events", "5000")
+    report = json.loads(stdout)
+    assert code == 1
+    assert not report["decomposition_ok"] and report["conservation_ok"]
 
 
 def test_check_dominance(capsys):

@@ -28,7 +28,7 @@ from cutgossip.engine import (
 from cutgossip.graph import (
     KIND_CROSS, KIND_CUT, build_barbell, random_partitioned, side_subgraph,
 )
-from cutgossip.rules import RuleCase, RuleDescriptor, parse_rule
+from cutgossip.rules import RuleCase, RuleDescriptor, compile_rule, pair_update, parse_rule
 
 
 VANILLA = RuleDescriptor("vanilla")
@@ -84,6 +84,41 @@ def test_superposition_goodness_of_fit():
     counts = np.bincount(trace.event_log.edges, minlength=10)
     band = 3 * math.sqrt(10_000 * 0.1 * 0.9)
     assert np.all(np.abs(counts - 1000) <= band)
+
+
+@pytest.mark.parametrize("text", ["vanilla", "convex:a=0.7"])
+def test_mean_of_S_equals_its_exact_second_moment(text):
+    # Event k applies x' = W_e x on an edge e drawn uniformly from the m
+    # edges, so M_k = E[x x^T] after k events follows
+    # M_{k+1} = (1/m) sum_e W_e M_k W_e^T, and E[S_k] = tr(Pi M_k) with
+    # Pi = I - 11^T/n.  Each W_e comes from the kernel's own case table.
+    g = build_barbell(4, 4)
+    rule = parse_rule(text)
+    rc = compile_rule(g, rule)
+    n = g.n
+    eye = np.eye(n)
+    maps = []
+    for u, v, _, case in rc._edges.tolist():
+        w = eye.copy()
+        w[u], w[v] = pair_update(case, eye[u], eye[v], rc.alpha, rc.gamma)
+        maps.append(w)
+    W = np.array(maps)
+    x0 = worst_cut_x0(g)
+    pi = eye - 1.0 / n
+    M = np.outer(x0, x0)
+    exact = [np.trace(pi @ M)]
+    for _ in range(60):
+        M = np.einsum("eij,jk,elk->il", W, M, W) / len(W)
+        exact.append(np.trace(pi @ M))
+    # fixed in advance: checkpoints, runs and seeds, and a bound on |z|
+    ks = [5, 20, 60]
+    runs = 2000
+    S = np.array([
+        n * simulate(g, rule, x0, SimConfig(seed=s, max_events=60)).var[ks]
+        for s in range(runs)
+    ])
+    z = (S.mean(axis=0) - np.take(exact, ks)) / (S.std(axis=0, ddof=1) / math.sqrt(runs))
+    assert np.all(np.abs(z) <= 3.5), z
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +476,11 @@ def test_non_finite_x0_rejected(bad):
     x0[3] = bad
     with pytest.raises(ValueError, match=r"x0\[3\]"):
         simulate(g, VANILLA, x0, SimConfig(seed=1, max_events=10))
+
+
+def test_empty_x0_rejected():
+    with pytest.raises(ValueError, match="x0 is empty"):
+        engine.sum_sq_dev([])
 
 
 def test_overflowing_x0_rejected():

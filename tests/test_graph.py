@@ -184,6 +184,46 @@ def test_validate_rejects_out_of_range_and_duplicates():
         )
 
 
+@pytest.mark.parametrize("args, match", [
+    ((3, 2, ((1, 2), (2, 3)), ((4, 5),), ((3, 4),), 0), "larger"),
+    ((2, 2, ((1, 2),), ((2, 4),), ((2, 3),), 0), "outside block two"),
+    ((2, 2, ((1, 2),), ((3, 4),), ((3, 2),), 0), "does not cross"),
+    ((2, 2, ((1, 2),), ((3, 4),), (), 0), "no cross edges"),
+    ((2, 2, ((1, 2),), ((3, 4),), ((2, 3),), 1), "cut_index"),
+    ((3, 3, ((1, 2),), ((4, 5), (5, 6)), ((3, 4),), 0), "block one is disconnected"),
+    ((2, 3, ((1, 2),), ((3, 4),), ((2, 3),), 0), "block two is disconnected"),
+])
+def test_validate_rejects_each_broken_invariant(args, match):
+    with pytest.raises(GraphValidationError, match=match):
+        validate(PartitionedGraph(*args))
+
+
+@pytest.mark.parametrize("n, side1, edges, match", [
+    (4, [1, 5], [], "outside 1..n"),
+    (4, [1, 2], [(1, 2, "E3")], "unknown edge tag"),
+    (4, [1, 2], [(1, 9, "E1")], "endpoint outside"),
+    (5, [1, 2], [(1, 2, "E1"), (3, 4, "E2"), (2, 3, "E12")], "block two is disconnected"),
+])
+def test_edge_list_rejects_bad_input(n, side1, edges, match):
+    with pytest.raises(GraphValidationError, match=match):
+        build_from_edge_list(n, side1, edges, (2, 3))
+
+
+@pytest.mark.parametrize("text, match", [
+    ("1 2 3\n", "expected header"),
+    ("1 x\n", "bad header"),
+    ("1 1\ncut 1\n", "expected 'cut u v'"),
+    ("1 1\n1 2 E12\ncut 1 2\ncut 1 2\n", "duplicate cut line"),
+    ("1 1\ncut a b\n", "bad cut line"),
+    ("1 1\n1 2\n", "expected 'u v"),
+    ("1 1\nx 2 E12\n", "bad edge line"),
+    ("0 1\ncut 1 2\n", "must be positive"),
+])
+def test_from_text_rejects_each_bad_line(text, match):
+    with pytest.raises(GraphFormatError, match=match):
+        from_text(text)
+
+
 def test_roundtrip_text_identical():
     for g in (build_barbell(3, 4), random_partitioned(3, 5, 0.8, 0.8, 2, seed=5)):
         text = to_text(g)
@@ -215,6 +255,8 @@ def test_side_subgraph():
     assert s1.n == 3 and len(s1.edges) == pairs(3)
     assert s2.n == 5 and len(s2.edges) == pairs(5)
     assert all(1 <= u < v <= 5 for u, v in s2.edges)
+    with pytest.raises(ValueError, match="side must be 1 or 2"):
+        side_subgraph(g, 3)
 
 
 def test_flat_edges_cut_designation():

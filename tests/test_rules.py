@@ -102,6 +102,10 @@ def test_compute_period_validation():
         compute_period(1.0, 1.0, 1, 1.0)
     with pytest.raises(ValueError):
         compute_period(1.0, 1.0, 4, 0.0)
+    # a product that overflows, or an infinite input, is no period
+    for args in ((1.0, 1.0, 4, 1e308), (math.inf, 0.0, 4, 1.0), (1.0, 1.0, 4, math.inf)):
+        with pytest.raises(ValueError, match="not finite"):
+            compute_period(*args)
 
 
 def tick_case(rule, kind, k):
@@ -206,7 +210,8 @@ def test_descriptor_text_roundtrip():
 
 def test_parse_rule_errors():
     for text in ("nope", "convex", "convex:b=1", "algA:P=x", "algA:gamma=?",
-                 "vanilla:a=1", "convex:a=2"):
+                 "vanilla:a=1", "convex:a=2", "algA:P", "algA:Q=1", "algA:C=inf",
+                 "algA:C=nan", "algA:gamma=inf,P=3", "algA:gamma=nan"):
         with pytest.raises(ValueError):
             parse_rule(text)
 
@@ -226,4 +231,14 @@ def test_descriptor_validation():
         RuleDescriptor("algA", gamma_mode="balanced", gamma_value=2.0)
     with pytest.raises(ValueError):
         RuleDescriptor("vanilla", period=3)
+    with pytest.raises(ValueError, match="unknown rule kind"):
+        RuleDescriptor("bogus")
+    with pytest.raises(ValueError, match="unknown gamma mode"):
+        RuleDescriptor("algA", gamma_mode="half")
+    for c in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="c_const must be positive and finite"):
+            RuleDescriptor("algA", c_const=c)
+    for gamma in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="explicit gamma must be positive and finite"):
+            RuleDescriptor("algA", gamma_mode="explicit", gamma_value=gamma)
     assert RuleDescriptor("algA", period=None).gamma_mode == "balanced"

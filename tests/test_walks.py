@@ -125,6 +125,12 @@ def test_dominance_insufficient_samples():
         dominance_check(np.zeros(50), 16)
 
 
+@pytest.mark.parametrize("slack", [math.inf, -math.inf, math.nan])
+def test_dominance_rejects_a_slack_that_is_not_finite(slack):
+    with pytest.raises(ValueError, match="slack must be finite"):
+        dominance_check(np.zeros(200), 16, slack=slack)
+
+
 def test_dominance_report_shape():
     rng = np.random.default_rng(2)
     inc = -2.0 * math.log(16) + 0.1 * rng.standard_normal(300)
