@@ -355,10 +355,12 @@ def _check_invariants(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
     x0 = analysis.worst_cut_x0(g)
     events = args.events
 
-    # conservation over a long run
+    # one run: its final values for conservation, its sampled states for
+    # the decomposition identity and bounds
     trace = engine.simulate(
         g, rule, x0,
-        engine.SimConfig(seed=cfg.seed, max_events=events, sample_every=1 << 62),
+        engine.SimConfig(seed=cfg.seed, max_events=events,
+                         sample_every=max(1, events // 500), record_states=True),
     )
     drift = abs(math.fsum(trace.final.values.tolist()) - trace.final.initial_sum)
     scale = float(x0.max() - x0.min()) or 1.0
@@ -381,21 +383,11 @@ def _check_invariants(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
             break
         state = new_state
 
-    # decomposition identity and bounds on sampled states
-    trace2 = engine.simulate(
-        g, rule, x0,
-        engine.SimConfig(
-            seed=cfg.seed + 1,
-            max_events=min(events, 200_000),
-            sample_every=max(1, min(events, 200_000) // 500),
-            record_states=True,
-        ),
-    )
     # the trace's metric columns, from the sampled states; the endpoint
     # deviations from the states themselves
-    var, mu1, mu2, sigma = trace2.var, trace2.mu1, trace2.mu2, trace2.sigma
+    var, mu1, mu2, sigma = trace.var, trace.mu1, trace.mu2, trace.sigma
     rhs = sigma**2 + (g.n1 * mu1**2 + g.n2 * mu2**2) / g.n
-    c = trace2.states - trace2.states.mean(axis=1, keepdims=True)
+    c = trace.states - trace.states.mean(axis=1, keepdims=True)
     dev = np.maximum(abs(c[:, g.n1 - 1] - mu1), abs(c[:, g.n1] - mu2))
     decomposition_ok = not np.any(
         (abs(var - rhs) > 1e-9 * np.maximum(var, rhs) + 1e-280)

@@ -359,13 +359,20 @@ class _Detector:
     threshold or below (nan before), ``last`` the time of the event that
     ended the latest stretch above it, and ``exceeding`` whether the run
     is above it now.
+
+    A firing whose gamma is above 1 can make the values diverge.  A block
+    after which a run's S is not finite raises a ValueError that names
+    the run's seed; S >= (x_i - mean)^2, and the pair updates keep the sum,
+    so no value leaves the floats before S does.
     """
 
-    def __init__(self, ss: float, runs: int, alpha: float, gamma: float) -> None:
+    def __init__(self, ss: float, seeds: list[int], alpha: float, gamma: float) -> None:
         # 2c(1-c) per case code (NOOP, VANILLA, CONVEX, NONCONVEX)
         self.coef = np.array([0.0, 0.5, 2.0 * alpha * (1.0 - alpha),
                               2.0 * gamma * (1.0 - gamma)])
         self.thr = RATIO_THRESHOLD * ss
+        self.seeds = np.array(seeds)
+        runs = len(seeds)
         self.ss = np.full(runs, ss)
         self.exceeding = np.ones(runs, dtype=bool)  # the ratio at t=0 is 1
         self.first = np.full(runs, np.nan)
@@ -379,14 +386,24 @@ class _Detector:
         event times.  Events of run r from ``ends[r]`` on are ignored.
         """
         b = len(d)
-        # S after each event, as the running ss -= 2c(1-c)*d*d gives it
-        d *= self.coef.take(cases) * d
-        d[0] = self.ss - d[0]
-        np.subtract.accumulate(d, axis=0, out=d)
+        # S after each event, as the running ss -= 2c(1-c)*d*d gives it;
+        # a diverging run overflows here, and is reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            d *= self.coef.take(cases) * d
+            d[0] = self.ss - d[0]
+            np.subtract.accumulate(d, axis=0, out=d)
         if ends is not None:
             for r in (ends < b).nonzero()[0].tolist():
                 e = ends[r]
                 d[e:, r] = d[e - 1, r] if e else self.ss[r]
+        # a run's S stays non-finite once it is, so its last one tells
+        bad = ~np.isfinite(d[-1])
+        if bad.any():
+            r = int(bad.argmax())
+            at = float(times[np.isfinite(d[:, r]).argmin(), r])
+            raise ValueError(f"the run of seed {self.seeds[r]} diverges: its variance "
+                             f"is not finite from t = {at!r}: its firings raise the "
+                             "variance without bound")
         pending = np.isnan(self.first)
         if pending.any():
             below = d <= self.thr
@@ -408,7 +425,7 @@ class _Detector:
         return np.where(self.exceeding, math.inf, self.last)
 
     def keep(self, rows: np.ndarray) -> None:
-        for name in ("ss", "exceeding", "first", "last"):
+        for name in ("seeds", "ss", "exceeding", "first", "last"):
             setattr(self, name, getattr(self, name)[rows])
 
 
@@ -606,7 +623,7 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     rc = clocks.rc
 
     # without variance the ratio is undefined and there is no detector
-    det = _Detector(ss, 1, rc.alpha, rc.gamma) if ss > 0.0 else None
+    det = _Detector(ss, [config.seed], rc.alpha, rc.gamma) if ss > 0.0 else None
 
     # the trace's sample columns, as arrays of consecutive samples
     s_times: list[np.ndarray] = []
@@ -683,6 +700,7 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
             points = sampled.nonzero()[0]
         # the loop applies only the events that can change x (``live``,
         # None for all of them); the detector sees only those
+        slabs = ()  # the sampled states the loop does not copy
         if 0 < end <= _DENSE * len(points):
             # dense: no samples mid-loop; the loop logs each event's
             # writes, from which numpy rebuilds the sampled states
@@ -697,19 +715,20 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
                 # applied at or before it
                 last_at = live.searchsorted(points, side="right") - 1
                 applied = e[live]
-            for states in _block_states(start, eu[applied], ev[applied], logged[:, 1:],
-                                        last_at):
-                measure(states)
+            slabs = _block_states(start, eu[applied], ev[applied], logged[:, 1:], last_at)
         else:
             ds: list[float] = []
             live = _pair_updates(x, e, kinds, cases, rc, n1, ds, cuts=points.tolist(),
                                  copies=rows)
             d = np.fromiter(ds, np.float64, len(ds))[:, None]
-            measure()
         if det is not None and len(d):
-            # per block, in numpy: the variance detector
+            # per block, in numpy: the variance detector, which rejects a
+            # diverging run before its states are measured
             at = slice(end) if live is None else live
             det.block(d, cases[at, None], times[at, None])
+        for states in slabs:
+            measure(states)
+        measure()
         if len(points):
             # t, nu12 and k_cut at each sample point
             s_times.append(times[points])
@@ -841,7 +860,7 @@ def _lockstep(graph, rule, x, ss, seeds, max_time, first, last) -> None:
     X = np.zeros((R, w))
     X[:, :n] = x
     X = X.ravel()
-    det = _Detector(ss, R, clocks.rc.alpha, clocks.rc.gamma)
+    det = _Detector(ss, seeds, clocks.rc.alpha, clocks.rc.gamma)
     stop = clocks.rc.phase < 0  # runs stop at their first crossing
     g_buf = np.empty(_BLOCK * 4 * R)  # the values gathered at each step of a block
     while R:
@@ -855,8 +874,10 @@ def _lockstep(graph, rule, x, ss, seeds, max_time, first, last) -> None:
         fire_e = e[cs, cr]
         fixes = zip(cs.tolist(), cr.tolist(), (eu[fire_e] + off[cr]).tolist(),
                     (ev[fire_e] + off[cr]).tolist(), repeat(_NONCONVEX))
-        g = _lock_steps(X, ix, clocks.rc, fixes, g_buf)
-        det.block(g[:, 1] - g[:, 0], cases, times, ends)
+        # a diverging run overflows here; the detector reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = _lock_steps(X, ix, clocks.rc, fixes, g_buf)
+            det.block(g[:, 1] - g[:, 0], cases, times, ends)
         done = ends < b
         if stop:
             done |= ~np.isnan(det.first)  # in this block: earlier ones have left

@@ -33,6 +33,9 @@ GAMMA_MODES = ("balanced", "n1", "explicit")
 
 RULE_KINDS = ("vanilla", "convex", "algA")
 
+# periods count cut ticks in the engine's int64 counter
+_PERIOD_END = 1 << 63
+
 
 class RuleCase(IntEnum):
     """Which elementary update an event actually applied."""
@@ -65,6 +68,9 @@ class RuleDescriptor:
     imbalance exactly; "n1" uses the block-one size (overshoots into a
     mean swap when the blocks have equal size); "explicit" uses
     ``gamma_value``.
+
+    A period must be below 2^63, the range of the engine's int64 cut-tick
+    counter.
     """
 
     kind: str
@@ -84,9 +90,9 @@ class RuleDescriptor:
             raise ValueError("alpha is only meaningful for the convex rule")
         if self.kind == "algA":
             if self.period is not None and (
-                not isinstance(self.period, int) or self.period < 1
+                not isinstance(self.period, int) or not 1 <= self.period < _PERIOD_END
             ):
-                raise ValueError("period must be a positive integer")
+                raise ValueError("period must be an integer from 1 to 2^63 - 1")
             if self.gamma_mode not in GAMMA_MODES:
                 raise ValueError(f"unknown gamma mode {self.gamma_mode!r}")
             if self.gamma_mode == "explicit":
@@ -210,7 +216,8 @@ def resolve_gamma(
 
 def compute_period(t_van1: float, t_van2: float, n: float, c_const: float) -> int:
     """Firing period: ceil(C * (T1 + T2) * ln n), floored at 1; a
-    ValueError when the product is not finite."""
+    ValueError when the product is not finite or the period is 2^63 or
+    more."""
     if t_van1 < 0 or t_van2 < 0:
         raise ValueError("averaging times must be nonnegative")
     if n < 2:
@@ -220,6 +227,8 @@ def compute_period(t_van1: float, t_van2: float, n: float, c_const: float) -> in
     period = c_const * (t_van1 + t_van2) * math.log(n)
     if not math.isfinite(period):
         raise ValueError(f"the firing period C*(T1+T2)*ln(n) = {period} is not finite")
+    if period > _PERIOD_END - 1:
+        raise ValueError(f"the firing period C*(T1+T2)*ln(n) = {period} is 2^63 or more")
     return max(1, math.ceil(period))
 
 

@@ -123,6 +123,18 @@ def test_malformed_rule_exits_2(capsys):
      "--slack", "inf"],
     ["check", "dominance", "--graph", "barbell:4,4", "--rule", "algA:P=3",
      "--slack", "nan"],
+    # a period beyond the engine's int64 cut counter, given or resolved
+    ["estimate", "--graph", "barbell:4,4", "--rule",
+     "algA:P=100000000000000000000,gamma=balanced", "--runs", "30", "--horizon", "20"],
+    ["simulate", "--graph", "barbell:4,4", "--rule", "algA:P=100000000000000000000",
+     "--max-events", "100"],
+    ["sweep", "--n", "4", "--runs", "30", "--rule", "algA:gamma=balanced,C=1e300",
+     "--workers", "1"],
+    # firings whose values diverge
+    ["estimate", "--graph", "barbell:1,1", "--rule", "algA:P=1,gamma=2.5", "--runs", "30",
+     "--horizon", "2000"],
+    ["check", "invariants", "--graph", "barbell:1,1", "--rule", "algA:P=1,gamma=2.5",
+     "--events", "10000"],
     # a sweep family or size list, a start policy, or a config file
     ["sweep", "--family", "ring", "--n", "4", "--runs", "30"],
     ["sweep", "--n", "4,x", "--runs", "30"],
@@ -141,8 +153,8 @@ def test_rejected_values_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert err.startswith("error: ")
     if "--min-increments" in argv:  # rejected before any simulation
         assert "--min-increments" in err
-    if "barbell:1,1" in argv:  # every run is at consensus after one firing
-        assert "consensus" in err
+    if "barbell:1,1" in argv:  # every run is at consensus after one firing, or diverges
+        assert ("consensus" if "dominance" in argv else "diverges") in err
 
 
 @pytest.mark.parametrize("command", [

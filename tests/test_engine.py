@@ -561,6 +561,43 @@ def test_batch_runs_of_a_firing_rule_go_on_past_their_crossing():
     assert np.array_equal(first, last)
 
 
+def _divergence_time(run) -> float:
+    # the time a diverging run's error names, after checking the seed
+    with pytest.raises(ValueError, match=r"the run of seed 5 diverges: its variance is "
+                       r"not finite from t = ") as err:
+        run()
+    return float(str(err.value).split("t = ")[1].split(":")[0])
+
+
+DIVERGING = parse_rule("algA:P=1,gamma=2.5")  # each firing scales x_v - x_u by -4
+
+
+def test_simulate_rejects_a_diverging_run():
+    # barbell(1,1) from (1, -1): every event fires and x_v - x_u is
+    # +-2^(2k+1) after k events, so S = 2^(4k+1) is exact until it
+    # overflows at event 256.  The error comes from that block, with no
+    # numpy warning (a failure under this suite's filter), on both
+    # sampling paths.  Event times do not depend on the rule.
+    g = build_barbell(1, 1)
+    x0 = worst_cut_x0(g)
+    times = simulate(g, VANILLA, x0, SimConfig(seed=5, max_events=300,
+                                               record_events=True)).event_log.times
+    for every in (1, 1 << 62):
+        assert _divergence_time(lambda: simulate(g, DIVERGING, x0, SimConfig(
+            seed=5, max_events=2000, sample_every=every))) == times[255]
+    # a run that ends before then is a run like any other
+    trace = simulate(g, DIVERGING, x0, SimConfig(seed=5, max_events=255))
+    assert trace.var[-1] == 2.0 ** (4 * 255 + 1) / 2
+
+
+def test_batch_kernel_rejects_a_diverging_run():
+    g = build_barbell(1, 1)
+    x0 = worst_cut_x0(g)
+    want = _divergence_time(lambda: simulate(g, DIVERGING, x0, SimConfig(
+        seed=5, max_time=2000.0, sample_every=1 << 62)))
+    assert _divergence_time(lambda: simulate_batch(g, DIVERGING, x0, [5], 2000.0)) == want
+
+
 def test_event_stream_layout_is_rng_id():
     # RNG_ID names the layout of a run's draws: per chunk of 4096 events,
     # from one PCG64(seed) generator, 4096 waiting times Exp(m) and then
@@ -626,13 +663,19 @@ def test_idle_skip_past_the_first_chunk_equals_a_run_that_never_skips():
 
     for seed in (3, 11, 20241):
         counts[:] = [0, 0]
-        cfg = SimConfig(seed=seed, max_time=80.0, sample_every=1 << 62)
+        cfg = SimConfig(seed=seed, max_time=80.0, sample_every=1 << 62, record_events=True)
         with mock.patch.object(engine, "_pair_updates", counted):
             trace = simulate(g, rule, x0, cfg)
         with mock.patch.object(engine, "_idle", lambda x, lo, hi: False):
             full = simulate(g, rule, x0, cfg)
         assert trace.n_events > 4 * 4096
         assert counts[0] == trace.n_events and counts[1] < counts[0]
+        # a replay gives the loop the events up to its last index, and no more
+        counts[:] = [0, 0]
+        last = trace.n_events - 2
+        with mock.patch.object(engine, "_pair_updates", counted):
+            replay_states(g, rule, x0, trace.event_log, [-1, 4096, last])
+        assert counts[0] == last + 1 and counts[1] < counts[0]
         # crossing times are positive floats, None or inf: == is bitwise here
         assert (trace.first_crossing, trace.last_exceedance) == (
             full.first_crossing, full.last_exceedance)

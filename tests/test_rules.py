@@ -106,6 +106,11 @@ def test_compute_period_validation():
     for args in ((1.0, 1.0, 4, 1e308), (math.inf, 0.0, 4, 1.0), (1.0, 1.0, 4, math.inf)):
         with pytest.raises(ValueError, match="not finite"):
             compute_period(*args)
+    # a period must fit the engine's int64 cut-tick counter
+    assert compute_period(2.0**62, 0.0, math.e, 1.0) == 2**62
+    for args in ((2.0**63, 0.0, math.e, 1.0), (1.0, 1.0, 4, 1e300)):
+        with pytest.raises(ValueError, match="2\\^63 or more"):
+            compute_period(*args)
 
 
 def tick_case(rule, kind, k):
@@ -211,7 +216,8 @@ def test_descriptor_text_roundtrip():
 def test_parse_rule_errors():
     for text in ("nope", "convex", "convex:b=1", "algA:P=x", "algA:gamma=?",
                  "vanilla:a=1", "convex:a=2", "algA:P", "algA:Q=1", "algA:C=inf",
-                 "algA:C=nan", "algA:gamma=inf,P=3", "algA:gamma=nan"):
+                 "algA:C=nan", "algA:gamma=inf,P=3", "algA:gamma=nan",
+                 "algA:P=9223372036854775808"):
         with pytest.raises(ValueError):
             parse_rule(text)
 
@@ -223,8 +229,10 @@ def test_descriptor_validation():
         RuleDescriptor("convex", alpha=1.5)
     with pytest.raises(ValueError):
         RuleDescriptor("vanilla", alpha=0.5)
-    with pytest.raises(ValueError):
-        RuleDescriptor("algA", period=0)
+    for period in (0, 2**63, 10**20):
+        with pytest.raises(ValueError, match="period must be an integer from 1 to 2\\^63 - 1"):
+            RuleDescriptor("algA", period=period)
+    assert RuleDescriptor("algA", period=2**63 - 1).period == 2**63 - 1
     with pytest.raises(ValueError):
         RuleDescriptor("algA", gamma_mode="explicit")
     with pytest.raises(ValueError):
