@@ -13,14 +13,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import analysis, engine, graph as graphmod, walks
 from .rules import RuleDescriptor, parse_rule
 
-__all__ = ["main", "ExperimentConfig", "parse_graph_spec"]
+__all__ = ["main", "parse_graph_spec"]
 
 # Run budget of ``check dominance``, whatever --min-increments asks for.
 DOMINANCE_MAX_RUNS = 200
@@ -37,69 +37,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-@dataclass
-class ExperimentConfig:
-    """Flat experiment configuration; every field has a default.
-
-    Stored as ``key=value`` lines; command-line flags override file values.
-    ``workers`` left unset (None) is the command's own default: the CPUs
-    this process may use for ``sweep``, 1 for ``estimate``.
-    """
-
-    graph: str = "barbell:8,8"
-    rule: str = "vanilla"
-    x0: str = "worst_cut"
-    runs: int = 100
-    horizon: float = 24.0
-    seed: int = 0
-    out: str = ""
-    n: str = "16,32,64,128"
-    workers: int | None = None
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        values: dict[str, str] = {}
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                for lineno, raw in enumerate(fh, start=1):
-                    line = raw.split("#", 1)[0].strip()
-                    if not line:
-                        continue
-                    key, eq, val = line.partition("=")
-                    if not eq:
-                        raise ConfigError(f"{path}:{lineno}: expected key=value")
-                    values[key.strip()] = val.strip()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls._coerce(values, source=str(path))
-
-    @classmethod
-    def _coerce(cls, values: dict[str, str], source: str) -> "ExperimentConfig":
-        known = {f.name: f.type for f in fields(cls)}
-        out = cls()
-        for key, val in values.items():
-            if key not in known:
-                raise ConfigError(f"{source}: unknown config key {key!r}")
-            current = getattr(out, key)
-            try:
-                if current is None or isinstance(current, int):  # None: workers
-                    setattr(out, key, int(val))
-                elif isinstance(current, float):
-                    setattr(out, key, float(val))
-                else:
-                    setattr(out, key, val)
-            except ValueError as exc:
-                raise ConfigError(f"{source}: bad value for {key}: {val!r}") from exc
-        return out
-
-    def override(self, args: argparse.Namespace) -> "ExperimentConfig":
-        for f in fields(self):
-            flag = getattr(args, f.name, None)
-            if flag is not None:
-                setattr(self, f.name, flag)
-        return self
 
 
 def parse_graph_spec(spec: str, seed: int) -> graphmod.PartitionedGraph:
@@ -135,13 +72,13 @@ def parse_graph_spec(spec: str, seed: int) -> graphmod.PartitionedGraph:
 
 
 def _resolved_rule(
-    cfg: ExperimentConfig, g: graphmod.PartitionedGraph
+    args: argparse.Namespace, g: graphmod.PartitionedGraph
 ) -> RuleDescriptor:
     """The configured rule; an algA rule without P gets its firing period
     from block averaging-time estimates (60 runs each)."""
-    rule = parse_rule(cfg.rule)
+    rule = parse_rule(args.rule)
     if rule.kind == "algA" and rule.period is None:
-        period, _, _ = analysis.resolve_period(g, rule.c_const, cfg.seed, runs=60)
+        period, _, _ = analysis.resolve_period(g, rule.c_const, args.seed, runs=60)
         rule = replace(rule, period=period)
     return rule
 
@@ -161,28 +98,26 @@ def _emit(payload: dict, out: str) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    g = parse_graph_spec(cfg.graph, cfg.seed)
-    rule = _resolved_rule(cfg, g)
     if args.max_events is None and args.max_time is None:
         raise ConfigError("simulate needs --max-events and/or --max-time")
-    x0 = _initial_state(cfg.x0, g, cfg.seed)
+    g = parse_graph_spec(args.graph, args.seed)
+    rule = _resolved_rule(args, g)
+    x0 = _initial_state(args.x0, g, args.seed)
     sim_cfg = engine.SimConfig(
-        seed=cfg.seed,
+        seed=args.seed,
         max_time=args.max_time,
         max_events=args.max_events,
         sample_every=args.sample_every,
         record_events=args.record_events,
     )
     trace = engine.simulate(g, rule, x0, sim_cfg)
-    out = cfg.out or "trace.jsonl"
-    fmt = args.format or ("csv" if out.endswith(".csv") else "jsonl")
+    fmt = args.format or ("csv" if args.out.endswith(".csv") else "jsonl")
     if fmt == "csv":
-        engine.write_trace_csv(trace, out)
+        engine.write_trace_csv(trace, args.out)
     else:
-        engine.write_trace_jsonl(trace, out)
+        engine.write_trace_jsonl(trace, args.out)
     print(
-        f"wrote {out}: {trace.n_events} events, t={trace.final.time:.6g}, "
+        f"wrote {args.out}: {trace.n_events} events, t={trace.final.time:.6g}, "
         f"var={trace.var[-1]:.6g}, epochs={len(trace.epoch_marks)}"
     )
     return 0
@@ -197,30 +132,31 @@ def _initial_state(policy: str, g: graphmod.PartitionedGraph, seed: int):
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    workers = 1 if cfg.workers is None else cfg.workers
-    g = parse_graph_spec(cfg.graph, cfg.seed)
+    if args.side is not None and {"rule", "x0"} & args.given:
+        raise ConfigError("estimate --side runs vanilla gossip on one block "
+                          "from a bisection start: it takes no rule or x0")
+    g = parse_graph_spec(args.graph, args.seed)
     if args.side is not None:
         side = graphmod.side_subgraph(g, args.side)
         t_hat = analysis.estimate_T_van(
-            side, cfg.runs, cfg.horizon, seed=cfg.seed, workers=workers
+            side, args.runs, args.horizon, seed=args.seed, workers=args.workers
         )
         _emit(
             {
                 "kind": "block_vanilla",
                 "side": args.side,
                 "t_hat": t_hat,
-                "runs": cfg.runs,
-                "horizon": cfg.horizon,
-                "seed": cfg.seed,
+                "runs": args.runs,
+                "horizon": args.horizon,
+                "seed": args.seed,
             },
-            cfg.out,
+            args.out,
         )
         return 0
-    rule = _resolved_rule(cfg, g)
+    rule = _resolved_rule(args, g)
     est = analysis.estimate_T_av(
-        g, rule, cfg.x0, cfg.runs, cfg.horizon,
-        seed=cfg.seed, workers=workers,
+        g, rule, args.x0, args.runs, args.horizon,
+        seed=args.seed, workers=args.workers,
     )
     _emit(
         {
@@ -232,40 +168,38 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "exceed_fraction_at_t_hat": est.exceed_fraction_at_t_hat,
             "threshold": engine.RATIO_THRESHOLD,
             "confidence_level": analysis.CONFIDENCE,
-            "seed": cfg.seed,
+            "seed": args.seed,
         },
-        cfg.out,
+        args.out,
     )
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
     if args.family != "barbell":
         raise ConfigError(f"unknown sweep family {args.family!r}")
     try:
-        n_values = [int(v) for v in cfg.n.split(",") if v]
+        n_values = [int(v) for v in args.n.split(",") if v]
     except ValueError as exc:
-        raise ConfigError(f"bad n list {cfg.n!r}") from exc
-    rule = parse_rule(cfg.rule)
-    workers = _usable_cpus() if cfg.workers is None else cfg.workers
+        raise ConfigError(f"bad n list {args.n!r}") from exc
+    rule = parse_rule(args.rule)
     if rule.kind == "algA":
         table = analysis.algA_scaling_sweep(
             n_values,
             c_const=rule.c_const,
             gamma_mode=rule.gamma_mode,
             gamma_value=rule.gamma_value,
-            runs=cfg.runs,
-            seed=cfg.seed,
-            workers=workers,
+            runs=args.runs,
+            seed=args.seed,
+            workers=args.workers,
         )
     else:
         table = analysis.convex_lower_bound_sweep(
-            n_values, rule, cfg.runs, seed=cfg.seed, workers=workers
+            n_values, rule, args.runs, seed=args.seed, workers=args.workers
         )
-    if cfg.out:
-        table.to_csv(cfg.out)
-        print(f"wrote {cfg.out}: {len(table.rows)} rows; {table.comments[-1]}")
+    if args.out:
+        table.to_csv(args.out)
+        print(f"wrote {args.out}: {len(table.rows)} rows; {table.comments[-1]}")
     else:
         print(",".join(table.columns))
         for row in table.rows:
@@ -276,20 +210,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    if args.what == "tail":
-        report = _check_tail()
-    elif args.what == "dominance":
-        report = _check_dominance(cfg, args)
-    elif args.what == "invariants":
-        report = _check_invariants(cfg, args)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown check {args.what!r}")
-    _emit(report, cfg.out)
+    report = args.battery(args)
+    _emit(report, args.out)
     return 0 if report["passed"] else 1
 
 
-def _check_tail() -> dict:
+def _check_tail(args: argparse.Namespace) -> dict:
     params = walks.TailBoundParams()
     violations = []
     for n in range(1, 31):
@@ -309,11 +235,11 @@ def _check_tail() -> dict:
     }
 
 
-def _check_dominance(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
+def _check_dominance(args: argparse.Namespace) -> dict:
     if args.min_increments < walks.MIN_INCREMENTS:
         raise ConfigError(f"--min-increments must be at least {walks.MIN_INCREMENTS}")
-    g = parse_graph_spec(cfg.graph, cfg.seed)
-    rule = _resolved_rule(cfg, g)
+    g = parse_graph_spec(args.graph, args.seed)
+    rule = _resolved_rule(args, g)
     if rule.kind != "algA":
         raise ConfigError("dominance check needs an algA rule")
     slack = args.slack if args.slack is not None else 0.1 * math.log(g.n)
@@ -323,7 +249,7 @@ def _check_dominance(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
     horizon = float(walks.t0_bound(walks.TailBoundParams()) * rule.period)
     while len(increments) < args.min_increments and run < DOMINANCE_MAX_RUNS:
         sim_cfg = engine.SimConfig(
-            seed=analysis.run_seed(cfg.seed, analysis.STREAM_DOMINANCE, run),
+            seed=analysis.run_seed(args.seed, analysis.STREAM_DOMINANCE, run),
             max_time=horizon,
             sample_every=1 << 62,
         )
@@ -349,9 +275,9 @@ def _check_dominance(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
     return out
 
 
-def _check_invariants(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
-    g = parse_graph_spec(cfg.graph, cfg.seed)
-    rule = _resolved_rule(cfg, g)
+def _check_invariants(args: argparse.Namespace) -> dict:
+    g = parse_graph_spec(args.graph, args.seed)
+    rule = _resolved_rule(args, g)
     x0 = analysis.worst_cut_x0(g)
     events = args.events
 
@@ -359,7 +285,7 @@ def _check_invariants(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
     # the decomposition identity and bounds
     trace = engine.simulate(
         g, rule, x0,
-        engine.SimConfig(seed=cfg.seed, max_events=events,
+        engine.SimConfig(seed=args.seed, max_events=events,
                          sample_every=max(1, events // 500), record_states=True),
     )
     drift = abs(math.fsum(trace.final.values.tolist()) - trace.final.initial_sum)
@@ -367,7 +293,7 @@ def _check_invariants(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
     conservation_ok = drift <= 1e-9 * max(scale, 1.0)
 
     # locality on a step-driven replay
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     state = engine.StateVector.from_values(x0)
     _, _, eu, ev, _ = g.view
     cut_ticks = 0
@@ -412,30 +338,96 @@ def _check_invariants(cfg: ExperimentConfig, args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _effective_config(args: argparse.Namespace) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = ExperimentConfig.from_file(args.config)
-    else:
-        cfg = ExperimentConfig()
-    return cfg.override(args)
+class _Given(argparse.Action):
+    """Store the flag's value and add its name to ``given``, the names set
+    on the command line or in a config file: ``estimate --side`` rejects a
+    given rule or x0, whatever its value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--graph", help="graph source: barbell:N1,N2 | file:PATH | "
-                   "random:n1=..,n2=..,p1=..,p2=..,k12=.. (default barbell:8,8)")
-    p.add_argument("--rule", help="rule text: vanilla | convex:a=A | "
-                   "algA:[P=..,]gamma=balanced|n1|VALUE[,C=..] (default vanilla)")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--runs", type=int, help="Monte Carlo runs (default 100)")
-    p.add_argument("--horizon", type=float, help="time horizon (default 24)")
-    p.add_argument("--out", help="output path (default: command specific)")
-    p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--workers", type=int,
-                   help="worker processes: an estimate runs its runs in parts "
-                   "of at least 32, a sweep too small to split them runs its "
-                   "points in parallel (default: 1 for estimate, the CPUs this "
-                   "process may use for sweep)")
-    p.add_argument("--x0", help="initial state policy: worst_cut | random")
+# Every flag with its default.  Each command declares the flags it reads;
+# its value flags (all but --record-events) are also its config keys.
+_FLAGS = {
+    "graph": dict(default="barbell:8,8", help="graph source: barbell:N1,N2 | "
+                  "file:PATH | random:n1=..,n2=..,p1=..,p2=..,k12=.. "
+                  "(default barbell:8,8)"),
+    "rule": dict(action=_Given, default="vanilla", help="rule text: vanilla | "
+                 "convex:a=A | algA:[P=..,]gamma=balanced|n1|VALUE[,C=..] "
+                 "(default vanilla)"),
+    "x0": dict(action=_Given, default="worst_cut",
+               help="initial state policy: worst_cut | random (default worst_cut)"),
+    "seed": dict(type=int, default=0, help="master seed (default 0)"),
+    "runs": dict(type=int, default=100, help="Monte Carlo runs (default 100)"),
+    "horizon": dict(type=float, default=24.0, help="time horizon (default 24)"),
+    "out": dict(default="", help="output path (default: command specific)"),
+    "workers": dict(type=int, default=1,
+                    help="worker processes: an estimate runs its runs in parts "
+                    "of at least 32, a sweep too small to split them runs its "
+                    "points in parallel (default: 1 for estimate, the CPUs this "
+                    "process may use for sweep)"),
+    "side": dict(type=int, choices=(1, 2),
+                 help="estimate the block averaging time of one side"),
+    "family": dict(default="barbell", help="graph family (barbell)"),
+    "n": dict(default="16,32,64,128",
+              help="comma list of sizes (default 16,32,64,128)"),
+    "max-events": dict(type=int, help="stop after this many events"),
+    "max-time": dict(type=float, help="stop at this simulated time"),
+    "sample-every": dict(type=int, default=1,
+                         help="metric sample stride in events (default 1)"),
+    "record-events": dict(action="store_true",
+                          help="record the full event log in memory"),
+    "format": dict(choices=("jsonl", "csv"),
+                   help="trace format (default: by file extension, else jsonl)"),
+    "slack": dict(type=float, help="dominance quantile slack (default 0.1*log n)"),
+    "min-increments": dict(type=int, default=120,
+                           help="epoch increments to collect (default 120); the "
+                           f"check stops at {DOMINANCE_MAX_RUNS} runs and warns "
+                           "on stderr if it has fewer"),
+    "events": dict(type=int, default=200_000,
+                   help="events for the invariant battery (default 200000)"),
+}
+
+
+def _command(sub, name: str, help: str, flags: tuple[str, ...], **defaults):
+    p = sub.add_parser(name, help=help)
+    for flag in flags:
+        p.add_argument("--" + flag, **_FLAGS[flag])
+    p.add_argument("--config", help="key=value file of this command's value "
+                   "flags; flags on the command line override it")
+    p.set_defaults(parser=p, flags=flags, given=frozenset(), **defaults)
+
+
+def _read_config(path: str, flags: tuple[str, ...]) -> dict:
+    """The ``key=value`` lines of a config file, by flag destination: each
+    key one of the command's value flags, each value converted and checked
+    as that flag's own value is."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    values = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, val = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        if key not in flags or _FLAGS[key].get("action") == "store_true":
+            raise ConfigError(f"{path}: unknown config key {key!r}")
+        spec = _FLAGS[key]
+        try:
+            value = spec.get("type", str)(val)
+            if value not in spec.get("choices", (value,)):
+                raise ValueError(val)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: bad value for {key}: {val!r}") from exc
+        values[key.replace("-", "_")] = value
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,43 +436,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gossip averaging on graphs with one sparse cut.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run one simulation and write a trace")
-    _add_common(p)
-    p.add_argument("--max-events", type=int, help="stop after this many events")
-    p.add_argument("--max-time", type=float, help="stop at this simulated time")
-    p.add_argument("--sample-every", type=int, default=1,
-                   help="metric sample stride in events (default 1)")
-    p.add_argument("--record-events", action="store_true",
-                   help="record the full event log in memory")
-    p.add_argument("--format", choices=("jsonl", "csv"),
-                   help="trace format (default: by file extension, else jsonl)")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("estimate", help="estimate an averaging time")
-    _add_common(p)
-    p.add_argument("--side", type=int, choices=(1, 2),
-                   help="estimate the block averaging time of one side")
-    p.set_defaults(fn=cmd_estimate)
-
-    p = sub.add_parser("sweep", help="scaling sweep over a graph family")
-    _add_common(p)
-    p.add_argument("--family", default="barbell", help="graph family (barbell)")
-    p.add_argument("--n", help="comma list of sizes (default 16,32,64,128)")
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("check", help="run a verification battery")
-    _add_common(p)
-    p.add_argument("what", choices=("tail", "dominance", "invariants"))
-    p.add_argument("--slack", type=float,
-                   help="dominance quantile slack (default 0.1*log n)")
-    p.add_argument("--min-increments", type=int, default=120,
-                   help="epoch increments to collect (default 120); the check "
-                   f"stops at {DOMINANCE_MAX_RUNS} runs and warns on stderr if "
-                   "it has fewer")
-    p.add_argument("--events", type=int, default=200_000,
-                   help="events for the invariant battery (default 200000)")
-    p.set_defaults(fn=cmd_check)
+    _command(sub, "simulate", "run one simulation and write a trace",
+             ("graph", "rule", "x0", "seed", "out", "max-events", "max-time",
+              "sample-every", "record-events", "format"),
+             fn=cmd_simulate, out="trace.jsonl")
+    _command(sub, "estimate", "estimate an averaging time",
+             ("graph", "rule", "x0", "seed", "runs", "horizon", "out", "workers",
+              "side"),
+             fn=cmd_estimate)
+    _command(sub, "sweep", "scaling sweep over a graph family",
+             ("rule", "seed", "runs", "out", "workers", "family", "n"),
+             fn=cmd_sweep, workers=_usable_cpus())
+    check = sub.add_parser("check", help="run a verification battery")
+    batteries = check.add_subparsers(dest="what", required=True)
+    _command(batteries, "tail", "the simple-walk tail bound on a grid", ("out",),
+             fn=cmd_check, battery=_check_tail)
+    _command(batteries, "dominance", "epoch increments against the tail bound",
+             ("graph", "rule", "seed", "out", "slack", "min-increments"),
+             fn=cmd_check, battery=_check_dominance)
+    _command(batteries, "invariants", "conservation, locality and the "
+             "variance decomposition on one run",
+             ("graph", "rule", "seed", "out", "events"),
+             fn=cmd_check, battery=_check_invariants)
     return parser
 
 
@@ -488,6 +465,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # the file's values become the command's defaults, so that the
+            # flags given with it still win
+            values = _read_config(args.config, args.flags)
+            args.parser.set_defaults(given=frozenset(values), **values)
+            args = parser.parse_args(argv)
         return args.fn(args)
     # ValueError covers ConfigError and every rejected argument value
     except (ValueError, analysis.HorizonTooShortError, OSError) as exc:

@@ -271,8 +271,9 @@ def build_from_edge_list(
         raise GraphValidationError("side-one labels outside 1..n")
     s2 = all_vertices - s1
 
+    # validate() checks duplicates and block connectivity on the relabelled
+    # graph; what relabelling needs is checked here
     tagged: list[tuple[int, int, str]] = []
-    seen: set[frozenset[int]] = set()
     for u, v, tag in edges:
         if tag not in EDGE_TAGS:
             raise GraphValidationError(f"unknown edge tag {tag!r}")
@@ -280,10 +281,6 @@ def build_from_edge_list(
             raise GraphValidationError(f"self-loop at vertex {u}")
         if not (u in all_vertices and v in all_vertices):
             raise GraphValidationError(f"edge ({u},{v}) has endpoint outside 1..n")
-        key = frozenset((u, v))
-        if key in seen:
-            raise GraphValidationError(f"duplicate edge ({u},{v})")
-        seen.add(key)
         expected = (
             "E1" if (u in s1 and v in s1)
             else "E2" if (u in s2 and v in s2)
@@ -298,11 +295,6 @@ def build_from_edge_list(
     cut_key = frozenset(cut_edge)
     if cut_key not in {frozenset((u, v)) for u, v, t in tagged if t == "E12"}:
         raise GraphValidationError(f"cut edge {cut_edge} is not a tagged E12 edge")
-
-    if not _connected(n_vertices, [(u, v) for u, v, t in tagged if t == "E1"], s1):
-        raise GraphValidationError("block one is disconnected")
-    if not _connected(n_vertices, [(u, v) for u, v, t in tagged if t == "E2"], s2):
-        raise GraphValidationError("block two is disconnected")
 
     if len(s1) > len(s2):
         s1, s2 = s2, s1

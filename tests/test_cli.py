@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from cutgossip.cli import ExperimentConfig, main, parse_graph_spec
+from cutgossip.cli import main, parse_graph_spec
 from cutgossip.graph import build_barbell, save_graph
 
 
@@ -90,8 +90,16 @@ def test_simulate_random_start(tmp_path, monkeypatch, capsys):
     assert starts[0].tobytes() == starts[1].tobytes() != starts[2].tobytes()
 
 
-def test_simulate_requires_stop(capsys):
-    code, _, err = run_cli(capsys, "simulate", "--graph", "barbell:2,2")
+def test_simulate_requires_stop(monkeypatch, capsys):
+    # checked before the graph is built and an algA period resolved
+    from cutgossip import analysis
+
+    def resolve_period(*args, **kwargs):
+        raise AssertionError("period resolved")
+
+    monkeypatch.setattr(analysis, "resolve_period", resolve_period)
+    code, _, err = run_cli(capsys, "simulate", "--graph", "barbell:64,64",
+                           "--rule", "algA:gamma=balanced")
     assert code == 2
     assert "max-events" in err
 
@@ -142,15 +150,26 @@ def test_malformed_rule_exits_2(capsys):
     ["estimate", "--config", "no-equals.cfg"],
     ["estimate", "--config", "missing.cfg"],
     ["estimate", "--config", "bad-value.cfg"],
+    ["estimate", "--config", "bad-choice.cfg"],
+    ["estimate", "--config", "non-ascii.cfg"],
+    # a block estimate runs vanilla gossip from a bisection start
+    ["estimate", "--graph", "barbell:2,2", "--side", "1", "--rule", "vanilla"],
+    ["estimate", "--graph", "barbell:2,2", "--side", "1", "--x0", "random"],
+    ["estimate", "--graph", "barbell:2,2", "--side", "1", "--config", "rule.cfg"],
 ])
 def test_rejected_values_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "no-equals.cfg").write_text("runs 30\n")
     (tmp_path / "bad-value.cfg").write_text("runs=many\n")
+    (tmp_path / "bad-choice.cfg").write_text("side=3\n")
+    (tmp_path / "rule.cfg").write_text("rule=vanilla\n")
+    (tmp_path / "non-ascii.cfg").write_bytes("graph=barbell:\u00e9\n".encode())
     code, out, err = run_cli(capsys, *argv)
     assert out == ""
     assert code == 2
     assert err.startswith("error: ")
+    if "non-ascii.cfg" in argv:
+        assert err.startswith("error: cannot read config non-ascii.cfg: ")
     if "--min-increments" in argv:  # rejected before any simulation
         assert "--min-increments" in err
     if "barbell:1,1" in argv:  # every run is at consensus after one firing, or diverges
@@ -181,7 +200,6 @@ def test_workers_default_per_command(monkeypatch, capsys):
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())
-    assert ExperimentConfig().workers is None
     seen = {"estimate_T_av": [], "estimate_T_van": [], "convex_lower_bound_sweep": []}
     for name, got in seen.items():
         real = getattr(analysis, name)
@@ -290,17 +308,26 @@ def test_config_file_and_flag_override(tmp_path, capsys):
 
 
 def test_config_unknown_key_exits_2(tmp_path, capsys):
-    # C and gamma belong to the rule text, so config keys for them are unknown
     cfg = tmp_path / "exp.cfg"
-    for line in ("grph=barbell:1,1", "gamma=n1", "c=8"):
+    for command, line in [
+        # C and gamma belong to the rule text, so config keys for them are unknown
+        (["estimate"], "grph=barbell:1,1"),
+        (["estimate"], "gamma=n1"),
+        (["estimate"], "c=8"),
+        # a key is one of the command's own value flags
+        (["estimate"], "config=other.cfg"),
+        (["sweep"], "horizon=5"),
+        (["simulate"], "runs=30"),
+        (["simulate"], "record-events=1"),
+        (["check", "tail"], "seed=1"),
+    ]:
         cfg.write_text(line + "\n")
-        code, _, err = run_cli(capsys, "estimate", "--config", str(cfg))
+        code, _, err = run_cli(capsys, *command, "--config", str(cfg))
         assert code == 2, line
-        assert "unknown config key" in err
+        assert err.startswith("error: ") and "unknown config key" in err
 
 
-def test_config_roundtrip(tmp_path):
-    cfg = ExperimentConfig(graph="barbell:4,4", runs=77, horizon=12.5, seed=3)
+def test_config_roundtrip(tmp_path, capsys):
     path = tmp_path / "a.cfg"
     path.write_text(
         "# experiment\n"
@@ -310,7 +337,49 @@ def test_config_roundtrip(tmp_path):
         "horizon=12.5\n"
         "seed=3\n"
     )
-    assert ExperimentConfig.from_file(path) == cfg
+    from_file = run_cli(capsys, "estimate", "--config", str(path))
+    assert from_file == run_cli(
+        capsys, "estimate", "--graph", "barbell:4,4", "--runs", "77",
+        "--horizon", "12.5", "--seed", "3",
+    )
+    # too short a horizon for barbell:4,4: the message names it and the
+    # settled share of the 77 runs (60/77)
+    code, _, err = from_file
+    assert code == 2 and "77.9%" in err and "horizon=12.5" in err
+
+
+def test_config_key_is_the_flag_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.cfg").write_text("max-events=300\nsample-every=7\nformat=csv\n")
+    outputs = []
+    for flags in (["--config", "a.cfg"],
+                  ["--max-events", "300", "--sample-every", "7", "--format", "csv"]):
+        code, stdout, _ = run_cli(capsys, "simulate", *flags)
+        assert code == 0
+        outputs.append((stdout, (tmp_path / "trace.jsonl").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].splitlines()[1] == b"t,var,mu1,mu2,sigma,nu_t,k"
+
+
+# every flag a command used to accept without reading it
+@pytest.mark.parametrize("command, flag", [
+    (command, flag)
+    for command, flags in [
+        (["simulate", "--max-events", "5"], ["runs", "horizon", "workers"]),
+        (["sweep", "--n", "4"], ["graph", "horizon", "x0"]),
+        (["check", "tail"], ["graph", "rule", "x0", "seed", "runs", "horizon",
+                             "workers", "slack", "min-increments", "events"]),
+        (["check", "dominance"], ["x0", "runs", "horizon", "workers", "events"]),
+        (["check", "invariants"], ["x0", "runs", "horizon", "workers", "slack",
+                                   "min-increments"]),
+    ]
+    for flag in flags
+])
+def test_flags_a_command_does_not_read_exit_2(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--" + flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{flag} 1" in capsys.readouterr().err
 
 
 def test_check_tail(capsys):
@@ -358,7 +427,7 @@ def test_check_invariants_fails_on_wrong_metric_columns(monkeypatch, capsys, col
 
 
 def test_check_dominance(capsys):
-    # default graph barbell:16,16 with the period resolved from block
+    # default graph barbell:8,8 with the period resolved from block
     # averaging-time estimates at the default C
     code, stdout, _ = run_cli(
         capsys, "check", "dominance", "--rule", "algA:gamma=balanced,C=4",
