@@ -21,7 +21,6 @@ from .engine import (
     SimTrace,
     StateVector,
     _BLOCK,
-    _GROUP,
     _NOOP,
     _integer,
     _lock_steps,
@@ -185,21 +184,6 @@ def _pooled(fn, calls: list[tuple], workers: int, order=None) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _run_batch(graph, rule, x0, seeds, horizon: float, workers: int):
-    """(first crossings, last exceedances) of one estimator run per seed,
-    with the seeds split into up to ``workers`` parts run in parallel.
-    No part is smaller than one lockstep group (:data:`engine._GROUP`
-    runs): a step costs nearly as much for a few runs as for a group, so
-    a thinner split would pay it again in every process."""
-    run = partial(simulate_batch, graph, rule, x0, max_time=horizon)
-    parts = min(workers, len(seeds) // _GROUP)
-    if parts < 2:
-        return run(seeds)
-    chunks = [(seeds[len(seeds) * w // parts : len(seeds) * (w + 1) // parts],)
-              for w in range(parts)]
-    return tuple(np.concatenate(col) for col in zip(*_pooled(run, chunks, parts)))
-
-
 def estimate_T_av(
     graph,
     rule: RuleDescriptor,
@@ -208,7 +192,6 @@ def estimate_T_av(
     horizon: float = 0.0,
     *,
     seed: int = 0,
-    workers: int = 1,
     censor_horizon: bool = False,
 ) -> AveragingTimeEstimate:
     """Monte Carlo averaging-time estimate over independent seeded runs.
@@ -231,7 +214,6 @@ def estimate_T_av(
     if runs < 30:
         raise ValueError("need at least 30 runs")
     seed = _integer("seed", seed)
-    workers = _integer("workers", workers, 1)
     if not horizon > 0:
         raise ValueError("horizon must be positive")
     if horizon == math.inf:
@@ -260,9 +242,8 @@ def estimate_T_av(
         # the engine's own reference, so its detector is on in every run
         if sum_sq_dev(x0.tolist()) == 0.0:
             raise DegenerateInitialStateError("initial state has zero variance")
-        firsts, lasts = _run_batch(
-            graph, rule, x0, [run_seed(seed, j, r) for r in range(runs)],
-            horizon, workers,
+        firsts, lasts = simulate_batch(
+            graph, rule, x0, [run_seed(seed, j, r) for r in range(runs)], horizon,
         )
 
         censored = False
@@ -300,7 +281,6 @@ def estimate_T_van(
     horizon: float = 256.0,
     *,
     seed: int = 0,
-    workers: int = 1,
 ) -> float:
     """Averaging time of the plain pairwise mean on an isolated block.
 
@@ -310,7 +290,6 @@ def estimate_T_van(
     """
     if not isinstance(subgraph, SideGraph):
         raise TypeError("expected a SideGraph (see side_subgraph)")
-    workers = _integer("workers", workers, 1)
     if subgraph.n == 1:
         return 0.0
     est = estimate_T_av(
@@ -320,7 +299,6 @@ def estimate_T_van(
         runs,
         horizon,
         seed=seed,
-        workers=workers,
     )
     return est.t_hat
 
@@ -460,33 +438,28 @@ def loglog_slope(xs, ys) -> float:
                             np.log(np.asarray(ys, float)), 1)[0])
 
 
-def _sweep_points(columns, point, n_values, runs: int,
-                  workers: int) -> SweepTable:
-    """The sweep table of ``point(p, n, w)`` -> (row, t_hat) over the
-    points p of ``n_values``, with rows in the order of ``n_values``.
+def _sweep_points(columns, point, n_values, workers: int) -> SweepTable:
+    """The sweep table of ``point(p, n)`` -> (row, t_hat) over the points
+    p of ``n_values``, with rows in the order of ``n_values``.
 
     Every point draws its seeds from its index, so the table does not
-    depend on ``workers``.  When an estimate of ``runs`` runs can split
-    its seeds (two lockstep groups or more, see :func:`_run_batch`), or
-    ``workers`` < 2, or there is one point, the points run in this
-    process one after another with ``w`` = ``workers``.  Otherwise one
-    process pool runs the points, largest n first (the slowest point
-    bounds the sweep, so it starts at once), each with ``w`` = 1, so no
-    pool is nested.  The point pool is only for estimates too small to
-    split: its wall time is at least that of the largest point on one
-    core, which is about half of the whole sweep on doubling n.
+    depend on ``workers``.  With ``workers`` < 2, or one point, the points
+    run in this process one after another.  Otherwise one process pool of
+    up to ``workers`` processes runs them, largest n first (the slowest
+    point bounds the sweep, so it starts at once), each point in one
+    process.
     """
     workers = _integer("workers", workers, 1)
     n_values = list(n_values)
     for n in n_values:
         if n < 2 or n % 2:
             raise ValueError("block family needs even n >= 2")
-    if workers < 2 or len(n_values) < 2 or runs // _GROUP >= 2:
-        done = [point(p, n, workers) for p, n in enumerate(n_values)]
+    calls = list(enumerate(n_values))
+    if workers < 2 or len(calls) < 2:
+        done = [point(p, n) for p, n in calls]
     else:
-        largest_first = sorted(range(len(n_values)), key=lambda p: -n_values[p])
-        done = _pooled(point, [(p, n, 1) for p, n in enumerate(n_values)],
-                       workers, largest_first)
+        largest_first = sorted(range(len(calls)), key=lambda p: -n_values[p])
+        done = _pooled(point, calls, workers, largest_first)
     slope = loglog_slope(n_values, [t_hat for _, t_hat in done])
     return SweepTable(columns, [row for row, _ in done],
                       [f"loglog_slope_t_hat_vs_n={slope:.4f}"])
@@ -499,17 +472,15 @@ CONVEX_SWEEP_COLUMNS = [
 ]
 
 
-def _convex_point(rule: RuleDescriptor, runs: int, seed: int, p: int, n: int,
-                  workers: int) -> tuple[list, float]:
+def _convex_point(rule: RuleDescriptor, runs: int, seed: int, p: int,
+                  n: int) -> tuple[list, float]:
     """Row and t_hat of point ``p`` (size ``n``) of the convex sweep."""
     from .graph import build_barbell
 
     g = build_barbell(n // 2, n // 2)
     master = seed + _POINT_STRIDE * p
     horizon = max(16.0, 4.0 * g.n1)
-    est = estimate_T_av(
-        g, rule, "worst_cut", runs, horizon, seed=master, workers=workers,
-    )
+    est = estimate_T_av(g, rule, "worst_cut", runs, horizon, seed=master)
     e12 = len(g.edges_e12)
     bound = 0.1 * g.n1 / e12
     row = [
@@ -537,15 +508,14 @@ def convex_lower_bound_sweep(
     Each row also reports the expected number of cross-edge ticks by the
     estimated time, |E12|*t_hat (each cross edge ticks at rate 1), next
     to the (1-1/e)*n1/4 ticks the bottleneck argument requires.
-    ``workers`` >= 2 runs the points, or each estimate's seeds, in
-    parallel processes (see :func:`_sweep_points`); the table is the same
-    for every value.
+    ``workers`` >= 2 runs the points in parallel processes (see
+    :func:`_sweep_points`); the table is the same for every value.
     """
     if rule.kind == "algA":
         raise ValueError("the sweep is for convex-class rules")
     return _sweep_points(CONVEX_SWEEP_COLUMNS,
                          partial(_convex_point, rule, runs, seed),
-                         n_values, runs, workers)
+                         n_values, workers)
 
 
 ALGA_SWEEP_COLUMNS = [
@@ -555,8 +525,8 @@ ALGA_SWEEP_COLUMNS = [
 ]
 
 
-def _alga_point(base: RuleDescriptor, runs: int, seed: int, p: int, n: int,
-                workers: int) -> tuple[list, float]:
+def _alga_point(base: RuleDescriptor, runs: int, seed: int, p: int,
+                n: int) -> tuple[list, float]:
     """Row and t_hat of point ``p`` (size ``n``) of the scheme sweep:
     the period resolved from block averaging times, then the estimate."""
     from .graph import build_barbell
@@ -568,7 +538,7 @@ def _alga_point(base: RuleDescriptor, runs: int, seed: int, p: int, n: int,
     horizon = max(20.0, 6.0 * period)
     est = estimate_T_av(
         g, rule, "worst_cut", runs, horizon,
-        seed=master, workers=workers, censor_horizon=True,
+        seed=master, censor_horizon=True,
     )
     ratio = est.t_hat / (math.log(n) * (tv1 + tv2) + 1.0)
     row = [
@@ -600,13 +570,12 @@ def algA_scaling_sweep(
     blocks drive the block averaging times toward zero.  With the "n1"
     gamma mode on equal blocks the block means swap instead of
     contracting, so runs are horizon-censored rather than erroring.
-    ``workers`` >= 2 runs the points, or each estimate's seeds, in
-    parallel processes (see :func:`_sweep_points`); the table is the same
-    for every value.
+    ``workers`` >= 2 runs the points in parallel processes (see
+    :func:`_sweep_points`); the table is the same for every value.
     """
     base = RuleDescriptor(
         "algA", gamma_mode=gamma_mode, gamma_value=gamma_value, c_const=c_const
     )
     return _sweep_points(ALGA_SWEEP_COLUMNS,
                          partial(_alga_point, base, runs, seed),
-                         n_values, runs, workers)
+                         n_values, workers)

@@ -138,9 +138,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     g = parse_graph_spec(args.graph, args.seed)
     if args.side is not None:
         side = graphmod.side_subgraph(g, args.side)
-        t_hat = analysis.estimate_T_van(
-            side, args.runs, args.horizon, seed=args.seed, workers=args.workers
-        )
+        t_hat = analysis.estimate_T_van(side, args.runs, args.horizon, seed=args.seed)
         _emit(
             {
                 "kind": "block_vanilla",
@@ -154,10 +152,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         )
         return 0
     rule = _resolved_rule(args, g)
-    est = analysis.estimate_T_av(
-        g, rule, args.x0, args.runs, args.horizon,
-        seed=args.seed, workers=args.workers,
-    )
+    est = analysis.estimate_T_av(g, rule, args.x0, args.runs, args.horizon,
+                                 seed=args.seed)
     _emit(
         {
             "kind": "averaging_time",
@@ -356,18 +352,15 @@ _FLAGS = {
                   "(default barbell:8,8)"),
     "rule": dict(action=_Given, default="vanilla", help="rule text: vanilla | "
                  "convex:a=A | algA:[P=..,]gamma=balanced|n1|VALUE[,C=..] "
-                 "(default vanilla)"),
+                 "(default %(default)s)"),
     "x0": dict(action=_Given, default="worst_cut",
                help="initial state policy: worst_cut | random (default worst_cut)"),
     "seed": dict(type=int, default=0, help="master seed (default 0)"),
     "runs": dict(type=int, default=100, help="Monte Carlo runs (default 100)"),
     "horizon": dict(type=float, default=24.0, help="time horizon (default 24)"),
     "out": dict(default="", help="output path (default: command specific)"),
-    "workers": dict(type=int, default=1,
-                    help="worker processes: an estimate runs its runs in parts "
-                    "of at least 32, a sweep too small to split them runs its "
-                    "points in parallel (default: 1 for estimate, the CPUs this "
-                    "process may use for sweep)"),
+    "workers": dict(type=int, help="worker processes that run the sweep's "
+                    "points in parallel (default: the CPUs this process may use)"),
     "side": dict(type=int, choices=(1, 2),
                  help="estimate the block averaging time of one side"),
     "family": dict(default="barbell", help="graph family (barbell)"),
@@ -441,8 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
               "sample-every", "record-events", "format"),
              fn=cmd_simulate, out="trace.jsonl")
     _command(sub, "estimate", "estimate an averaging time",
-             ("graph", "rule", "x0", "seed", "runs", "horizon", "out", "workers",
-              "side"),
+             ("graph", "rule", "x0", "seed", "runs", "horizon", "out", "side"),
              fn=cmd_estimate)
     _command(sub, "sweep", "scaling sweep over a graph family",
              ("rule", "seed", "runs", "out", "workers", "family", "n"),
@@ -453,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
              fn=cmd_check, battery=_check_tail)
     _command(batteries, "dominance", "epoch increments against the tail bound",
              ("graph", "rule", "seed", "out", "slack", "min-increments"),
-             fn=cmd_check, battery=_check_dominance)
+             fn=cmd_check, battery=_check_dominance, rule="algA:gamma=balanced")
     _command(batteries, "invariants", "conservation, locality and the "
              "variance decomposition on one run",
              ("graph", "rule", "seed", "out", "events"),

@@ -53,8 +53,9 @@ _TABLE = 1 << 15
 _CHECK = 128
 _HUGE = 2.0**1023
 # simulate_batch: runs advanced in lockstep and steps per block, at most;
-# they bound its buffers
-_GROUP = 32
+# they bound its buffers, about 60 KB a run (see simulate_batch), so
+# about 7.7 MB a group.
+_GROUP = 128
 _BLOCK = 256
 _CASES = tuple(RuleCase)
 _VANILLA = int(RuleCase.VANILLA)
@@ -827,7 +828,10 @@ def simulate_batch(
     their values, a :class:`_Clocks` block at a time, through the applier
     :func:`_lock_steps`.  Then the variance detector runs over the block,
     and runs that met their time cap, or stopped at their first crossing,
-    leave the group.
+    leave the group.  Each run of a group holds about 60 KB of buffers: a
+    chunk of 4,096 waits (32 KB) and edges (16 KB), and per block of 256
+    steps its gathered values (8 KB) and step indices (4 KB); a group of
+    128 runs, about 7.7 MB.
     """
     x, ss = _start(graph, x0)
     if ss == 0.0:

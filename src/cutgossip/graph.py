@@ -10,7 +10,6 @@ cut endpoints positionally without lookups.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -138,6 +137,8 @@ class PartitionedGraph:
 
     @cached_property
     def _digest(self) -> str:
+        import hashlib
+
         return hashlib.sha256(to_text(self).encode()).hexdigest()[:12]
 
 

@@ -230,49 +230,13 @@ def test_estimator_deterministic_and_worker_invariant():
     kw = dict(runs=32, horizon=30.0, seed=11)
     a = estimate_T_av(g, VANILLA, "worst_cut", **kw)
     b = estimate_T_av(g, VANILLA, "worst_cut", **kw)
-    c = estimate_T_av(g, VANILLA, "worst_cut", workers=2, **kw)
-    assert a.t_hat == b.t_hat == c.t_hat
-    assert np.array_equal(a.last_exceedances, c.last_exceedances)
-
-
-def test_estimator_worker_invariant_across_a_seed_split():
-    # 64 runs split into two parts of one lockstep group each
-    g = build_barbell(2, 2)
-    kw = dict(runs=64, horizon=30.0, seed=11)
-    a = estimate_T_av(g, VANILLA, "worst_cut", **kw)
-    c = estimate_T_av(g, VANILLA, "worst_cut", workers=2, **kw)
-    assert a.t_hat == c.t_hat
-    assert a.first_crossings.tobytes() == c.first_crossings.tobytes()
-    assert a.last_exceedances.tobytes() == c.last_exceedances.tobytes()
-
-
-def test_seed_split_never_below_a_lockstep_group(monkeypatch):
-    import concurrent.futures
-
-    sizes = []
-    real = concurrent.futures.ProcessPoolExecutor
-
-    def pool(max_workers):
-        sizes.append(max_workers)
-        return real(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    g = build_barbell(2, 2)
-    for runs in (30, 63, 64, 100):
-        estimate_T_av(g, VANILLA, "worst_cut", runs=runs, horizon=30.0,
-                      seed=11, workers=4)
-    assert sizes == [2, 3]
+    assert a.t_hat == b.t_hat
+    assert np.array_equal(a.last_exceedances, b.last_exceedances)
 
 
 @pytest.mark.parametrize("bad", [0, -3, True, 2.0])
 def test_workers_must_be_a_positive_integer(bad):
-    g = build_barbell(2, 2)
     match = "workers must be an integer >= 1"
-    with pytest.raises(ValueError, match=match):
-        estimate_T_av(g, VANILLA, "worst_cut", runs=30, horizon=30.0, workers=bad)
-    # checked before the single-vertex shortcut
-    with pytest.raises(ValueError, match=match):
-        estimate_T_van(side_subgraph(build_barbell(1, 2), 1), runs=30, workers=bad)
     with pytest.raises(ValueError, match=match):
         convex_lower_bound_sweep([4], VANILLA, runs=30, workers=bad)
     with pytest.raises(ValueError, match=match):
@@ -444,12 +408,11 @@ def test_sweep_pools_points_only_when_seeds_cannot_split(monkeypatch):
         return real(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    # 30 runs are one group: one pool runs the three points
+    # one pool of min(workers, points) runs the three points, whatever
+    # the run count
     convex_lower_bound_sweep([4, 8, 6], VANILLA, runs=30, workers=4)
-    assert sizes == [3]
-    # 64 runs split in two: each point's estimate splits its seeds
     convex_lower_bound_sweep([4, 8, 6], VANILLA, runs=64, workers=4)
-    assert sizes == [3, 2, 2, 2]
+    assert sizes == [3, 3]
     assert multiprocessing.active_children() == []
 
 

@@ -1,10 +1,11 @@
+import argparse
 import hashlib
 import json
 import os
 
 import pytest
 
-from cutgossip.cli import main, parse_graph_spec
+from cutgossip.cli import build_parser, main, parse_graph_spec
 from cutgossip.graph import build_barbell, save_graph
 
 
@@ -178,8 +179,6 @@ def test_rejected_values_exit_2(tmp_path, monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("command", [
     ["sweep", "--n", "4,8", "--runs", "30"],
-    ["estimate", "--graph", "barbell:2,2", "--runs", "30"],
-    ["estimate", "--graph", "barbell:1,2", "--side", "1", "--runs", "30"],
 ])
 @pytest.mark.parametrize("workers", ["0", "-2", "config"])
 def test_workers_below_one_exit_2(tmp_path, capsys, command, workers):
@@ -200,23 +199,17 @@ def test_workers_default_per_command(monkeypatch, capsys):
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())
-    seen = {"estimate_T_av": [], "estimate_T_van": [], "convex_lower_bound_sweep": []}
-    for name, got in seen.items():
-        real = getattr(analysis, name)
-        monkeypatch.setattr(analysis, name, lambda *a, real=real, got=got, **kw: (
-            got.append(kw["workers"]) or real(*a, **kw)))
-    assert run_cli(capsys, "estimate", "--graph", "barbell:2,2", "--runs", "30")[0] == 0
-    assert run_cli(capsys, "estimate", "--graph", "barbell:2,2", "--side", "1",
-                   "--runs", "30")[0] == 0
+    got = []
+    real = analysis.convex_lower_bound_sweep
+    monkeypatch.setattr(analysis, "convex_lower_bound_sweep", lambda *a, **kw: (
+        got.append(kw["workers"]) or real(*a, **kw)))
     argv = ["sweep", "--rule", "vanilla", "--n", "8,4,16", "--runs", "30",
             "--seed", "2"]
     one = run_cli(capsys, *argv, "--workers", "1")
     assert run_cli(capsys, *argv, "--workers", "2") == one
     assert run_cli(capsys, *argv) == one
-    # estimates default to one process, a sweep to every usable CPU
-    assert seen["estimate_T_av"][0] == 1
-    assert seen["estimate_T_van"] == [1]
-    assert seen["convex_lower_bound_sweep"] == [1, 2, cpus]
+    # a sweep defaults to every usable CPU
+    assert got == [1, 2, cpus]
 
 
 def test_estimate_two_vertex(tmp_path, capsys):
@@ -372,6 +365,7 @@ def test_config_key_is_the_flag_name(tmp_path, monkeypatch, capsys):
         (["check", "dominance"], ["x0", "runs", "horizon", "workers", "events"]),
         (["check", "invariants"], ["x0", "runs", "horizon", "workers", "slack",
                                    "min-increments"]),
+        (["estimate"], ["workers"]),
     ]
     for flag in flags
 ])
@@ -380,6 +374,29 @@ def test_flags_a_command_does_not_read_exit_2(capsys, command, flag):
         main(command + ["--" + flag, "1"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: --{flag} 1" in capsys.readouterr().err
+
+
+def _commands(parser, prefix=()):
+    """The argv prefix of every command and battery of ``parser``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield list(prefix)
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _commands(sub, prefix + (name,))
+
+
+@pytest.mark.parametrize("command", list(_commands(build_parser())), ids=" ".join)
+def test_every_command_runs_at_its_defaults(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    # a sweep's default sizes run up to n=128; two small ones suffice here
+    extra = ["--n", "4,8"] if command == ["sweep"] else []
+    code, out, err = run_cli(capsys, *command, *extra)
+    if command == ["simulate"]:
+        assert (code, out) == (2, "")
+        assert err == "error: simulate needs --max-events and/or --max-time\n"
+    else:
+        assert code == 0, err
 
 
 def test_check_tail(capsys):

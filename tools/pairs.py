@@ -18,13 +18,16 @@ and, per end-to-end metric of NEW's ``BENCHMARK.json``, a summary in the
 metric's better direction.  Command mode: pairs of ARGV run with
 ``PYTHONPATH=<tree>/src`` (so ``cutgossip ...`` runs that tree's
 package): summaries of the wall time and of the CPU time of the process
-and its children.  A run that exits non-zero stops the runner.
+and its children, each side's stdout sha256 (from its first run) and
+``same_stdout``, whether every run of both sides printed the same bytes.
+A run that exits non-zero stops the runner.
 
 A gain is claimed only when the new side wins at least 9 of 10 pairs and
 the medians differ by more than the old side's interquartile range.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import resource
@@ -106,11 +109,14 @@ def perfbench_pairs(old: str, new: str, workloads: list, seeds: list, n: int,
 def command_pairs(old: str, new: str, argv: list, n: int) -> dict:
     def timed(root: str):
         env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
-        return run(root, argv, env)[1:]
+        stdout, wall, cpu = run(root, argv, env)
+        return wall, cpu, hashlib.sha256(stdout.encode()).hexdigest()
 
     olds, news = pairs(n, lambda: timed(old), lambda: timed(new))
     out = {key: summary([r[i] for r in olds], [r[i] for r in news])
            for i, key in enumerate(("wall_s", "cpu_s"))}
+    out["stdout_sha256"] = {"old": olds[0][2], "new": news[0][2]}
+    out["same_stdout"] = len({r[2] for r in olds + news}) == 1
     print(f"{' '.join(argv)}: wall_s {out['wall_s']['old_median']} -> "
           f"{out['wall_s']['new_median']}", file=sys.stderr)
     return out
