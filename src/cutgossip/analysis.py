@@ -17,6 +17,7 @@ from functools import partial
 import numpy as np
 
 from .engine import (
+    DegenerateInitialStateError,
     EventLog,
     SimTrace,
     StateVector,
@@ -25,10 +26,8 @@ from .engine import (
     _integer,
     _lock_steps,
     _side_metrics,
-    _values,
     simulate,  # unused here; perfbench/tracer.py wraps analysis.simulate
     simulate_batch,
-    sum_sq_dev,
 )
 from .graph import PartitionedGraph, SideGraph, side_subgraph
 from .rules import RuleDescriptor, compile_rule, compute_period, resolve_gamma
@@ -78,11 +77,7 @@ _TVAN2_OFFSET = 600_000_007
 _TVAN_RUNS = 100
 
 
-class DegenerateInitialStateError(ValueError):
-    """The initial state has zero variance; the ratio is undefined."""
-
-
-class HorizonTooShortError(RuntimeError):
+class HorizonTooShortError(ValueError):
     """Too few runs settled below the threshold early enough to trust the
     estimate (the required fraction is 1 - 1/(2e) before horizon/2)."""
 
@@ -235,13 +230,10 @@ def estimate_T_av(
         else:
             raise ValueError(f"unknown x0 policy {x0_policy!r}")
     else:
-        starts = [np.array(_values(graph, x0_policy))]
+        starts = [x0_policy]
 
     best: AveragingTimeEstimate | None = None
     for j, x0 in enumerate(starts):
-        # the engine's own reference, so its detector is on in every run
-        if sum_sq_dev(x0.tolist()) == 0.0:
-            raise DegenerateInitialStateError("initial state has zero variance")
         firsts, lasts = simulate_batch(
             graph, rule, x0, [run_seed(seed, j, r) for r in range(runs)], horizon,
         )

@@ -55,6 +55,8 @@ def parse_graph_spec(spec: str, seed: int) -> graphmod.PartitionedGraph:
             return graphmod.load_graph(arg)
         if kind == "random":
             opts = dict(item.split("=", 1) for item in arg.split(","))
+            if unknown := opts.keys() - {"n1", "n2", "p1", "p2", "k12"}:
+                raise ValueError(f"unknown keys {sorted(unknown)} (n1, n2, p1, p2, k12)")
             return graphmod.random_partitioned(
                 int(opts["n1"]),
                 int(opts["n2"]),
@@ -63,10 +65,7 @@ def parse_graph_spec(spec: str, seed: int) -> graphmod.PartitionedGraph:
                 int(opts.get("k12", 1)),
                 seed,
             )
-    except ConfigError:
-        raise
-    except (ValueError, KeyError, OSError, graphmod.GraphFormatError,
-            graphmod.GraphValidationError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         raise ConfigError(f"bad graph spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown graph spec kind {kind!r}")
 
@@ -179,6 +178,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad n list {args.n!r}") from exc
     rule = parse_rule(args.rule)
+    if rule.period is not None:
+        raise ConfigError("sweep resolves P at each point; drop P from the rule")
     if rule.kind == "algA":
         table = analysis.algA_scaling_sweep(
             n_values,
@@ -464,8 +465,8 @@ def main(argv=None) -> int:
             args.parser.set_defaults(given=frozenset(values), **values)
             args = parser.parse_args(argv)
         return args.fn(args)
-    # ValueError covers ConfigError and every rejected argument value
-    except (ValueError, analysis.HorizonTooShortError, OSError) as exc:
+    # every rejected input is a ValueError; a path it cannot use, an OSError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

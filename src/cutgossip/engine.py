@@ -24,6 +24,7 @@ from .graph import KIND_CROSS, KIND_CUT
 from .rules import CompiledRule, RuleCase, RuleDescriptor, compile_rule, pair_update
 
 __all__ = [
+    "DegenerateInitialStateError",
     "StateVector",
     "SimConfig",
     "SimTrace",
@@ -67,6 +68,10 @@ _CUT_BIT = 1 << KIND_CUT  # of the cut edge's row in a compiled rule's table
 # The averaging time uses epsilon = 1/e: a run has settled once
 # var X(t) / var X(0) <= epsilon^2 = e^-2.
 RATIO_THRESHOLD = math.exp(-2.0)
+
+
+class DegenerateInitialStateError(ValueError):
+    """The initial state has zero variance; the ratio is undefined."""
 
 
 @dataclass
@@ -815,8 +820,8 @@ def simulate_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(first crossings, last exceedances) of one run per seed, bit for bit
     those of :func:`simulate` with ``SimConfig(seed, max_time=max_time)``;
-    a run that never crossed has a nan first crossing.  x0 must have
-    nonzero variance.
+    a run that never crossed has a nan first crossing.  An x0 of zero
+    variance is a :class:`DegenerateInitialStateError`.
 
     A rule that never fires the amplified transfer is a convex pair map,
     which never raises the variance: the first crossing is the last
@@ -835,7 +840,7 @@ def simulate_batch(
     """
     x, ss = _start(graph, x0)
     if ss == 0.0:
-        raise ValueError("x0 has zero variance; the ratio is undefined")
+        raise DegenerateInitialStateError("x0 has zero variance; the ratio is undefined")
     if not 0 <= max_time < math.inf:
         raise ValueError("max_time must be finite and nonnegative")
     seeds = [_integer(f"seeds[{i}]", s) for i, s in enumerate(seeds)]

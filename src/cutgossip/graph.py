@@ -55,7 +55,7 @@ class GraphFormatError(ValueError):
     """A graph file or text blob cannot be parsed."""
 
 
-class RetryBudgetExceededError(RuntimeError):
+class RetryBudgetExceededError(ValueError):
     """The random generator failed to draw a connected side within budget."""
 
 

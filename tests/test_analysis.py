@@ -130,6 +130,21 @@ def test_estimator_degenerate_x0():
         estimate_T_av(g, VANILLA, np.zeros(4), runs=30, horizon=5.0)
 
 
+def test_rejected_inputs_are_value_errors():
+    # the kernel rejects a zero-variance start itself, with the error the
+    # estimator reports; every rejected input is a ValueError, which the
+    # CLI maps to exit 2
+    from cutgossip import engine
+    from cutgossip.graph import RetryBudgetExceededError
+
+    assert engine.DegenerateInitialStateError is DegenerateInitialStateError
+    with pytest.raises(DegenerateInitialStateError, match="zero variance"):
+        engine.simulate_batch(build_barbell(2, 2), VANILLA, np.full(4, 3.0), [1], 5.0)
+    for error in (DegenerateInitialStateError, HorizonTooShortError,
+                  RetryBudgetExceededError):
+        assert issubclass(error, ValueError)
+
+
 def test_estimators_reject_a_policy_or_graph_they_cannot_use():
     g = build_barbell(2, 2)
     side = side_subgraph(g, 2)

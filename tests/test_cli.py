@@ -157,6 +157,12 @@ def test_malformed_rule_exits_2(capsys):
     ["estimate", "--graph", "barbell:2,2", "--side", "1", "--rule", "vanilla"],
     ["estimate", "--graph", "barbell:2,2", "--side", "1", "--x0", "random"],
     ["estimate", "--graph", "barbell:2,2", "--side", "1", "--config", "rule.cfg"],
+    # a random graph whose blocks stay disconnected, a random graph key
+    # that nothing reads, and a period the sweep would resolve itself
+    ["check", "invariants", "--graph", "random:n1=6,n2=6,p1=0.01,p2=0.01"],
+    ["estimate", "--graph", "random:n1=4,n2=6,p=0.01,k=3", "--runs", "30",
+     "--horizon", "200"],
+    ["sweep", "--n", "4", "--runs", "30", "--rule", "algA:P=5,gamma=balanced"],
 ])
 def test_rejected_values_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
