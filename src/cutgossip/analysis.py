@@ -306,6 +306,12 @@ def resolve_period(
     return compute_period(tv1, tv2, g.n, c_const), tv1, tv2
 
 
+def scheme_horizon(period: int) -> float:
+    """The horizon of an estimate under the periodic scheme of firing
+    period ``period``: six periods, and at least 20."""
+    return max(20.0, 6.0 * period)
+
+
 # ---------------------------------------------------------------------------
 # Epoch operators
 # ---------------------------------------------------------------------------
@@ -527,7 +533,7 @@ def _alga_point(base: RuleDescriptor, runs: int, seed: int, p: int,
     master = seed + _POINT_STRIDE * p
     period, tv1, tv2 = resolve_period(g, base.c_const, master, _TVAN_RUNS)
     rule = replace(base, period=period)
-    horizon = max(20.0, 6.0 * period)
+    horizon = scheme_horizon(period)
     est = estimate_T_av(
         g, rule, "worst_cut", runs, horizon,
         seed=master, censor_horizon=True,

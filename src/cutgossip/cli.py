@@ -1,9 +1,10 @@
 """Command-line front end: simulate, estimate, sweep, check.
 
-Exit codes: 0 success, 1 check failure, 2 usage/config error.  Every
-command is deterministic given its configuration including the seed.
-All randomness flows from one master seed per command, expanded into
-per-run seeds by the counter scheme in :func:`cutgossip.analysis.run_seed`.
+Exit codes: 0 success, 1 check failure, 2 usage/config error, 141 (128 +
+SIGPIPE) a stdout whose reader went away.  Every command is deterministic
+given its configuration including the seed.  All randomness flows from
+one master seed per command, expanded into per-run seeds by the counter
+scheme in :func:`cutgossip.analysis.run_seed`.
 """
 
 from __future__ import annotations
@@ -151,8 +152,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         )
         return 0
     rule = _resolved_rule(args, g)
-    est = analysis.estimate_T_av(g, rule, args.x0, args.runs, args.horizon,
-                                 seed=args.seed)
+    horizon = args.horizon
+    if rule.kind == "algA" and "horizon" not in args.given:
+        horizon = analysis.scheme_horizon(rule.period)
+    est = analysis.estimate_T_av(g, rule, args.x0, args.runs, horizon, seed=args.seed)
     _emit(
         {
             "kind": "averaging_time",
@@ -338,7 +341,8 @@ def _check_invariants(args: argparse.Namespace) -> dict:
 class _Given(argparse.Action):
     """Store the flag's value and add its name to ``given``, the names set
     on the command line or in a config file: ``estimate --side`` rejects a
-    given rule or x0, whatever its value."""
+    given rule or x0, whatever its value, and ``estimate`` under an algA
+    rule derives its horizon from the period unless one is given."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
@@ -358,7 +362,8 @@ _FLAGS = {
                help="initial state policy: worst_cut | random (default worst_cut)"),
     "seed": dict(type=int, default=0, help="master seed (default 0)"),
     "runs": dict(type=int, default=100, help="Monte Carlo runs (default 100)"),
-    "horizon": dict(type=float, default=24.0, help="time horizon (default 24)"),
+    "horizon": dict(action=_Given, type=float, default=24.0, help="time horizon "
+                    "(default 24; under an algA rule, max(20, 6P))"),
     "out": dict(default="", help="output path (default: command specific)"),
     "workers": dict(type=int, help="worker processes that run the sweep's "
                     "points in parallel (default: the CPUs this process may use)"),
@@ -464,7 +469,14 @@ def main(argv=None) -> int:
             values = _read_config(args.config, args.flags)
             args.parser.set_defaults(given=frozenset(values), **values)
             args = parser.parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away: Python's SIGPIPE recipe points
+        # stdout at devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     # every rejected input is a ValueError; a path it cannot use, an OSError
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,13 +41,11 @@ __all__ = [
 
 RNG_ID = "numpy-PCG64/chunk4096"
 _CHUNK = 4096
-_FIRST_BLOCK = 64
-_PENDING = 1024  # sampled states held before their metrics are computed
 # A block with at least one sample point per _DENSE events is dense: its
 # sampled states are rebuilt in numpy from each event's writes, through an
 # index table of at most _TABLE entries at a time (128 KB, which stays in
-# cache and keeps a dense block's scratch memory near that of a metric
-# batch).  The crossover this follows is in BENCH_trace_sampling.json.
+# cache and bounds a dense block's scratch memory).  The crossover this
+# follows is in BENCH_trace_sampling.json.
 _DENSE = 8
 _TABLE = 1 << 15
 # events between idle checks of a side that still moves (see _pair_updates)
@@ -274,11 +272,11 @@ class _Clocks:
     Each run draws from its own ``PCG64(seed)`` stream, per chunk of
     :data:`_CHUNK` events, the chunk's waiting times (Exp(m), as 1/m
     times standard exponentials) and then its edges, uniform over the m
-    edges: the layout ``RNG_ID`` names.  Blocks of 64, 64, 128, 256, ...
-    events, at most ``cap``, start at a multiple of their length, so none
-    straddles a chunk.  Results do not depend on the schedule; ``cap``
-    bounds the caller's per-block buffers.  ``max_time`` (None for none)
-    is the runs' time cap, and ``rc`` the rule resolved against the graph.
+    edges: the layout ``RNG_ID`` names.  Every block holds ``cap`` events,
+    a divisor of the chunk, so none straddles a chunk.  Results do not
+    depend on ``cap``, which bounds the caller's per-block buffers.
+    ``max_time`` (None for none) is the runs' time cap, and ``rc`` the
+    rule resolved against the graph.
     """
 
     def __init__(self, graph, rule, seeds, cap: int, max_time: float | None) -> None:
@@ -292,16 +290,15 @@ class _Clocks:
         self.edges = np.empty((R, _CHUNK), dtype=np.int32)
         self.t = np.zeros(R)
         self.cut = np.zeros(R, dtype=np.int64)  # per run, cut ticks of a firing rule
-        self.find_cuts = rc.phase >= 0 or R == 1  # for firings, or a traced run
         self.events = 0  # per run, so far
 
     def block(self):
-        """The next block of b events of every run, as (b, R) arrays of
-        event times, edges, edge kinds and case codes, in which firings
-        are NONCONVEX; the cut ticks (if ``find_cuts``) and the firings,
-        each as (positions, runs), grouped by run and in event order; and
-        per run the count of its events at or before ``max_time`` (b if
-        there is no cap)."""
+        """The next block of b = ``cap`` events of every run, as (b, R)
+        arrays of event times, edges, edge kinds and case codes, in which
+        firings are NONCONVEX; the cut ticks and the firings, each as
+        (positions, runs), grouped by run and in event order; and per run
+        the count of its events at or before ``max_time`` (b if there is
+        no cap)."""
         R = len(self.rngs)
         lo = self.events % _CHUNK
         if not lo:
@@ -310,7 +307,7 @@ class _Clocks:
                 rng.standard_exponential(out=self.exps[r])
                 self.edges[r] = rng.integers(0, m, _CHUNK, dtype=np.int32)
             self.exps[:R] *= 1.0 / m  # exponential(1/m) is 1/m times those
-        b = min(self.cap, self.events & -self.events) if self.events else _FIRST_BLOCK
+        b = self.cap
         hi = lo + b
         self.events += b
         times = self.exps[:R, lo:hi]
@@ -322,11 +319,9 @@ class _Clocks:
         e = self.edges[:R, lo:hi].astype(np.intp)
         kinds = self.kind.take(e)
         cases = self.rc._kind_case.take(kinds)
-        cuts = fired = _NO_TICKS
-        if self.find_cuts:
-            flat = (kinds == KIND_CUT).ravel().nonzero()[0]  # grouped by run
-            runs, at = np.divmod(flat, b)
-            cuts = at, runs
+        flat = (kinds == KIND_CUT).ravel().nonzero()[0]  # grouped by run
+        runs, at = np.divmod(flat, b)
+        fired = _NO_TICKS
         if self.rc.phase >= 0:
             # each cut tick's count k within its run
             k = np.arange(1, len(runs) + 1) - runs.searchsorted(runs) + self.cut[runs]
@@ -337,7 +332,7 @@ class _Clocks:
         ends = np.full(R, b)
         for r in (self.t > self.max_time).nonzero()[0].tolist():
             ends[r] = times[r].searchsorted(self.max_time, side="right")
-        return times.T, e.T, kinds.T, cases.T, cuts, fired, ends
+        return times.T, e.T, kinds.T, cases.T, (at, runs), fired, ends
 
     def keep(self, runs: np.ndarray) -> None:
         """Keep only the runs where the mask ``runs`` is set, with the
@@ -613,14 +608,15 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     seed) produce bit-identical traces.
 
     Its clock is the planner :class:`_Clocks` over one run, in blocks of
-    up to 4096 events; a short run converts little of its chunk to Python
-    objects.  Per block, numpy gives the ``max_events`` cut, sample
-    points and tick counters; the loop :func:`_pair_updates` applies the
-    pair updates in order, except those of a side at exact consensus,
-    which change nothing; then the variance detector runs over the
-    events applied.  The loop copies the values at each sample point,
-    except in a dense block (see :data:`_DENSE`), where it logs each
-    event's writes and numpy rebuilds the sampled states from them.
+    4096 events, each cut at ``max_events`` or ``max_time`` before any of
+    it becomes Python objects.  Per block, numpy gives the sample points
+    and tick counters; the loop :func:`_pair_updates` applies the pair
+    updates in order, except those of a side at exact consensus, which
+    change nothing; then the variance detector runs over the events
+    applied.  The loop copies the values at each sample point, except in
+    a dense block (see :data:`_DENSE`), where it logs each event's writes
+    and numpy rebuilds the sampled states from them, a slab at a time.
+    Each block's copies and each slab are measured as soon as they exist.
     """
     n, n1, eu, ev, _ = graph.view
     x, ss = _start(graph, x0)
@@ -649,31 +645,15 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     events = 0
     t = 0.0
 
-    # States at sample points whose metrics are not yet computed, in
-    # sample order: the (k, n) arrays in ``pending``, then the copies of x
-    # in ``rows``.  They are measured in one batch once _PENDING rows are
-    # waiting after a block or slab, and at the end of the run.
-    rows: list[list[float]] = []
-    pending: list[np.ndarray] = []
-
-    def measure(states: np.ndarray | None = None, least: int = _PENDING) -> None:
-        """Queue ``rows``, then ``states``, and measure the queue once it
-        holds at least ``least`` states."""
-        if rows:
-            pending.append(np.array(rows))
-            rows.clear()
-        if states is not None:
-            pending.append(states)
-        if pending and sum(map(len, pending)) >= least:
-            states = np.concatenate(pending) if len(pending) > 1 else pending[0]
-            pending.clear()
-            s_metrics.append(_side_metrics(states, n1))
-            if config.record_states:
-                s_states.append(states)
+    def measure(states: np.ndarray) -> None:
+        """Measure a (k, n) array of the next k sampled states."""
+        s_metrics.append(_side_metrics(states, n1))
+        if config.record_states:
+            s_states.append(states)
 
     def take_sample(t: float, nu12: int, k_cut: int) -> None:
         nonlocal n_samples
-        rows.append(x[:])
+        measure(np.array([x]))
         s_times.append(np.array([t]))
         s_nu.append(np.array([nu12]))
         s_k.append(np.array([k_cut]))
@@ -706,7 +686,6 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
             points = sampled.nonzero()[0]
         # the loop applies only the events that can change x (``live``,
         # None for all of them); the detector sees only those
-        slabs = ()  # the sampled states the loop does not copy
         if 0 < end <= _DENSE * len(points):
             # dense: no samples mid-loop; the loop logs each event's
             # writes, from which numpy rebuilds the sampled states
@@ -724,9 +703,11 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
             slabs = _block_states(start, eu[applied], ev[applied], logged[:, 1:], last_at)
         else:
             ds: list[float] = []
+            rows: list[list[float]] = []  # copies of x at the sample points
             live = _pair_updates(x, e, kinds, cases, rc, n1, ds, cuts=points.tolist(),
                                  copies=rows)
             d = np.fromiter(ds, np.float64, len(ds))[:, None]
+            slabs = (np.array(rows),) if rows else ()
         if det is not None and len(d):
             # per block, in numpy: the variance detector, which rejects a
             # diverging run before its states are measured
@@ -734,7 +715,6 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
             det.block(d, cases[at, None], times[at, None])
         for states in slabs:
             measure(states)
-        measure()
         if len(points):
             # t, nu12 and k_cut at each sample point
             s_times.append(times[points])
@@ -763,7 +743,6 @@ def simulate(graph, rule: RuleDescriptor, x0, config: SimConfig) -> SimTrace:
     e1, e2, n_cross, n_cut = ticks
     if s_times[-1][-1] != t:
         take_sample(t, n_cross + n_cut, n_cut)
-    measure(least=1)
     metrics = np.concatenate(s_metrics, axis=1)
 
     final = StateVector(np.array(x), t, initial_sum)

@@ -2,9 +2,12 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import cutgossip
 from cutgossip.cli import build_parser, main, parse_graph_spec
 from cutgossip.graph import build_barbell, save_graph
 
@@ -248,6 +251,34 @@ def test_estimate_horizon_too_short_exits_2(capsys):
     )
     assert code == 2
     assert "settled" in err
+
+
+def test_estimate_algA_horizon_defaults_to_six_periods(capsys):
+    # P resolves to 12 on the default graph, so the horizon is 72; an
+    # explicit --horizon 24 is used as given, and is too short
+    code, stdout, err = run_cli(capsys, "estimate", "--rule", "algA:gamma=balanced")
+    assert code == 0, err
+    assert json.loads(stdout)["horizon"] == 72.0
+    code, _, err = run_cli(capsys, "estimate", "--rule", "algA:gamma=balanced",
+                           "--horizon", "24")
+    assert code == 2
+    assert "settled" in err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cutgossip.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the command writes
+    try:
+        done = subprocess.run([sys.executable, "-m", "cutgossip.cli", "check", "tail"],
+                              stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_sweep_csv(tmp_path, capsys):

@@ -145,18 +145,16 @@ def test_crossing_stop_ends_at_the_first_crossing(case, seed):
 
 
 @PROPERTY
-@given(cases(), st.integers(0, 2**32), st.sampled_from([3, None]))
-def test_crossing_stop_keeps_the_samples_before_it(case, seed, pending):
+@given(cases(), st.integers(0, 2**32))
+def test_crossing_stop_keeps_the_samples_before_it(case, seed):
     # A run capped at its first crossing keeps the samples of the longer
-    # run up to it, whether or not a full batch of sampled states
-    # (engine._PENDING, shrunk here to 3) was already measured.
+    # run up to it.
     g, x0, name = case
     rule = RULES[name]
     cfg = dict(seed=seed, sample_every=1, record_states=True)
     long = simulate(g, rule, x0, SimConfig(max_events=LONG, record_events=True, **cfg))
-    with mock.patch.object(engine, "_PENDING", pending or engine._PENDING):
-        stopped = simulate(g, rule, x0, SimConfig(
-            max_events=_crossing_events(long) or LONG, **cfg))
+    stopped = simulate(g, rule, x0, SimConfig(
+        max_events=_crossing_events(long) or LONG, **cfg))
     k = stopped.n_samples
     if long.first_crossing is None:
         assert k == long.n_samples
@@ -178,7 +176,8 @@ def barbell_cases(draw):
        st.sampled_from([1, engine._GROUP, engine._GROUP + 1]),
        st.integers(0, 2**32),
        st.floats(0.5, 30.0),
-       # the kernel's blocks end after events 64, 128, 256, 512, 768, ...
+       # the kernel's blocks end after events 256, 512, 768, ...; 63 and
+       # 127 fall inside its first block
        st.sampled_from([None, 63, 127, 255, 511, 767]))
 def test_batch_kernel_equals_per_run_simulate(case, runs, seed, horizon, edge):
     g, x0, name = case
@@ -222,16 +221,15 @@ def test_convex_class_last_exceedance_is_the_first_crossing(case, rule, seed, ho
 
 @PROPERTY
 @given(st.one_of(cases(), barbell_cases()), st.integers(0, 2**32), st.integers(1, LONG),
-       # also measure in batches of 3 states, and rebuild sampled states
-       # from index tables of a few rows at a time
-       st.sampled_from([None, 3]), st.sampled_from([None, 64]))
-def test_sampled_states_equal_replayed_states(case, seed, events, pending, table):
+       # also rebuild sampled states from index tables of a few rows at a
+       # time
+       st.sampled_from([None, 64]))
+def test_sampled_states_equal_replayed_states(case, seed, events, table):
     # strides of 8 and less take the dense path, 13 the per-sample one
     g, x0, name = case
     rule = RULES[name]
     for every in (1, 2, 3, 5, 8, 13):
-        with mock.patch.object(engine, "_PENDING", pending or engine._PENDING), \
-                mock.patch.object(engine, "_TABLE", table or engine._TABLE):
+        with mock.patch.object(engine, "_TABLE", table or engine._TABLE):
             tr = simulate(g, rule, x0, SimConfig(
                 seed=seed, max_events=events, sample_every=every,
                 record_events=True, record_states=True))
