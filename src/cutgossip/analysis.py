@@ -10,6 +10,7 @@ t, i.e. an order statistic of the per-run last exceedances at quantile
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -206,7 +207,7 @@ def estimate_T_av(
     scheme, whose amplified transfers can raise the variance again, go
     on to the horizon.
     """
-    if runs < 30:
+    if _integer("runs", runs) < 30:
         raise ValueError("need at least 30 runs")
     seed = _integer("seed", seed)
     if not horizon > 0:
@@ -416,16 +417,13 @@ class SweepTable:
         i = self.columns.index(name)
         return [row[i] for row in self.rows]
 
-    def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow(row)
-            for comment in self.comments:
-                fh.write(f"# {comment}\n")
+    def write(self, fh) -> None:
+        """Write the rows to the text stream ``fh`` (a file opened with
+        ``newline=""``) as CSV with LF line ends, then the ``# `` comments."""
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(self.columns)
+        writer.writerows(self.rows)
+        fh.writelines(f"# {comment}\n" for comment in self.comments)
 
 
 def loglog_slope(xs, ys) -> float:
@@ -449,6 +447,8 @@ def _sweep_points(columns, point, n_values, workers: int) -> SweepTable:
     """
     workers = _integer("workers", workers, 1)
     n_values = list(n_values)
+    if not n_values:
+        raise ValueError("a sweep needs at least one size")
     for n in n_values:
         if n < 2 or n % 2:
             raise ValueError("block family needs even n >= 2")

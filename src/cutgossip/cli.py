@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import analysis, engine, graph as graphmod, walks
-from .rules import RuleDescriptor, parse_rule
+from .rules import RuleDescriptor, parse_options, parse_rule
 
 __all__ = ["main", "parse_graph_spec"]
 
@@ -55,18 +55,12 @@ def parse_graph_spec(spec: str, seed: int) -> graphmod.PartitionedGraph:
         if kind == "file":
             return graphmod.load_graph(arg)
         if kind == "random":
-            opts = dict(item.split("=", 1) for item in arg.split(","))
-            if unknown := opts.keys() - {"n1", "n2", "p1", "p2", "k12"}:
-                raise ValueError(f"unknown keys {sorted(unknown)} (n1, n2, p1, p2, k12)")
+            opts = parse_options(arg, ("n1", "n2", "p1", "p2", "k12"),
+                                 required=("n1", "n2"))
             return graphmod.random_partitioned(
-                int(opts["n1"]),
-                int(opts["n2"]),
-                float(opts.get("p1", 0.8)),
-                float(opts.get("p2", 0.8)),
-                int(opts.get("k12", 1)),
-                seed,
-            )
-    except (ValueError, KeyError, OSError) as exc:
+                int(opts["n1"]), int(opts["n2"]), float(opts.get("p1", 0.8)),
+                float(opts.get("p2", 0.8)), int(opts.get("k12", 1)), seed)
+    except (ValueError, OSError) as exc:
         raise ConfigError(f"bad graph spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown graph spec kind {kind!r}")
 
@@ -108,7 +102,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         max_time=args.max_time,
         max_events=args.max_events,
         sample_every=args.sample_every,
-        record_events=args.record_events,
     )
     trace = engine.simulate(g, rule, x0, sim_cfg)
     fmt = args.format or ("csv" if args.out.endswith(".csv") else "jsonl")
@@ -198,14 +191,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             n_values, rule, args.runs, seed=args.seed, workers=args.workers
         )
     if args.out:
-        table.to_csv(args.out)
+        with open(args.out, "w", newline="", encoding="ascii") as fh:
+            table.write(fh)
         print(f"wrote {args.out}: {len(table.rows)} rows; {table.comments[-1]}")
     else:
-        print(",".join(table.columns))
-        for row in table.rows:
-            print(",".join(str(v) for v in row))
-        for comment in table.comments:
-            print(f"# {comment}")
+        table.write(sys.stdout)
     return 0
 
 
@@ -349,8 +339,8 @@ class _Given(argparse.Action):
         namespace.given = namespace.given | {self.dest}
 
 
-# Every flag with its default.  Each command declares the flags it reads;
-# its value flags (all but --record-events) are also its config keys.
+# Every flag with its default.  Each command declares the flags it reads,
+# which are also its config keys.
 _FLAGS = {
     "graph": dict(default="barbell:8,8", help="graph source: barbell:N1,N2 | "
                   "file:PATH | random:n1=..,n2=..,p1=..,p2=..,k12=.. "
@@ -376,8 +366,6 @@ _FLAGS = {
     "max-time": dict(type=float, help="stop at this simulated time"),
     "sample-every": dict(type=int, default=1,
                          help="metric sample stride in events (default 1)"),
-    "record-events": dict(action="store_true",
-                          help="record the full event log in memory"),
     "format": dict(choices=("jsonl", "csv"),
                    help="trace format (default: by file extension, else jsonl)"),
     "slack": dict(type=float, help="dominance quantile slack (default 0.1*log n)"),
@@ -394,14 +382,14 @@ def _command(sub, name: str, help: str, flags: tuple[str, ...], **defaults):
     p = sub.add_parser(name, help=help)
     for flag in flags:
         p.add_argument("--" + flag, **_FLAGS[flag])
-    p.add_argument("--config", help="key=value file of this command's value "
-                   "flags; flags on the command line override it")
+    p.add_argument("--config", help="key=value file of this command's flags, "
+                   "each set once; flags on the command line override it")
     p.set_defaults(parser=p, flags=flags, given=frozenset(), **defaults)
 
 
 def _read_config(path: str, flags: tuple[str, ...]) -> dict:
     """The ``key=value`` lines of a config file, by flag destination: each
-    key one of the command's value flags, each value converted and checked
+    key one of the command's flags, each value converted and checked
     as that flag's own value is."""
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -416,8 +404,10 @@ def _read_config(path: str, flags: tuple[str, ...]) -> dict:
         key, eq, val = (part.strip() for part in line.partition("="))
         if not eq:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
-        if key not in flags or _FLAGS[key].get("action") == "store_true":
+        if key not in flags:
             raise ConfigError(f"{path}: unknown config key {key!r}")
+        if key.replace("-", "_") in values:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} set twice")
         spec = _FLAGS[key]
         try:
             value = spec.get("type", str)(val)
@@ -437,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     _command(sub, "simulate", "run one simulation and write a trace",
              ("graph", "rule", "x0", "seed", "out", "max-events", "max-time",
-              "sample-every", "record-events", "format"),
+              "sample-every", "format"),
              fn=cmd_simulate, out="trace.jsonl")
     _command(sub, "estimate", "estimate an averaging time",
              ("graph", "rule", "x0", "seed", "runs", "horizon", "out", "side"),

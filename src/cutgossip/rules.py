@@ -22,6 +22,7 @@ __all__ = [
     "RuleCase",
     "RuleDescriptor",
     "CompiledRule",
+    "parse_options",
     "parse_rule",
     "pair_update",
     "resolve_gamma",
@@ -124,44 +125,48 @@ class RuleDescriptor:
         return "algA:" + ",".join(parts)
 
 
+def parse_options(text: str, keys: tuple[str, ...],
+                  required: tuple[str, ...] = ()) -> dict[str, str]:
+    """The items of a comma-separated ``key=value`` list by key: each key
+    one of ``keys`` and given once, every one of ``required`` given, or a
+    ValueError that names the item or key."""
+    options: dict[str, str] = {}
+    for item in text.split(",") if text else ():
+        key, eq, val = (part.strip() for part in item.partition("="))
+        if not (key and eq and val):
+            raise ValueError(f"malformed option {item!r}: expected key=value")
+        if key not in keys:
+            raise ValueError(f"unknown option {key!r}: expected "
+                             + (", ".join(keys) or "none"))
+        if key in options:
+            raise ValueError(f"option {key!r} given twice")
+        options[key] = val
+    if missing := [key for key in required if key not in options]:
+        raise ValueError(f"missing option {missing[0]!r}")
+    return options
+
+
 def parse_rule(text: str) -> RuleDescriptor:
     """Parse the short text form, e.g. ``convex:a=0.75`` or
     ``algA:P=20,gamma=balanced,C=4``."""
     name, _, args = text.strip().partition(":")
-    fields: dict[str, str] = {}
-    if args:
-        for item in args.split(","):
-            key, eq, val = item.partition("=")
-            if not eq or not val:
-                raise ValueError(f"malformed rule option {item!r}")
-            fields[key.strip()] = val.strip()
     try:
         if name == "vanilla":
-            if fields:
-                raise ValueError("vanilla takes no options")
+            parse_options(args, ())
             return RuleDescriptor("vanilla")
         if name == "convex":
-            unknown = set(fields) - {"a"}
-            if unknown or "a" not in fields:
-                raise ValueError("convex requires exactly the option a=<alpha>")
-            return RuleDescriptor("convex", alpha=float(fields["a"]))
+            alpha = parse_options(args, ("a",), required=("a",))["a"]
+            return RuleDescriptor("convex", alpha=float(alpha))
         if name == "algA":
-            unknown = set(fields) - {"P", "gamma", "C"}
-            if unknown:
-                raise ValueError(f"unknown algA options {sorted(unknown)}")
-            period = int(fields["P"]) if "P" in fields else None
-            c_const = float(fields["C"]) if "C" in fields else 4.0
+            fields = parse_options(args, ("P", "gamma", "C"))
             gamma = fields.get("gamma", "balanced")
-            if gamma in ("balanced", "n1"):
-                return RuleDescriptor(
-                    "algA", period=period, gamma_mode=gamma, c_const=c_const
-                )
+            explicit = gamma not in ("balanced", "n1")
             return RuleDescriptor(
                 "algA",
-                period=period,
-                gamma_mode="explicit",
-                gamma_value=float(gamma),
-                c_const=c_const,
+                period=int(fields["P"]) if "P" in fields else None,
+                c_const=float(fields.get("C", 4.0)),
+                gamma_mode="explicit" if explicit else gamma,
+                gamma_value=float(gamma) if explicit else None,
             )
     except ValueError as exc:
         raise ValueError(f"bad rule text {text!r}: {exc}") from exc

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import multiprocessing
 
@@ -200,6 +202,18 @@ def test_estimator_requires_runs_and_horizon():
     for bad in (-5, 1.5, True):
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             estimate_T_av(g, VANILLA, "worst_cut", runs=30, horizon=5.0, seed=bad)
+
+
+@pytest.mark.parametrize("runs", [40.0, "40", True])
+def test_estimators_require_an_integer_run_count(runs):
+    g = build_barbell(2, 2)
+    match = f"runs must be an integer >= 0, got {runs!r}"
+    with pytest.raises(ValueError, match=match):
+        estimate_T_av(g, VANILLA, "worst_cut", runs=runs, horizon=5.0)
+    with pytest.raises(ValueError, match=match):
+        estimate_T_van(side_subgraph(g, 1), runs=runs)
+    with pytest.raises(ValueError, match=match):
+        convex_lower_bound_sweep([4], VANILLA, runs=runs)
 
 
 def test_slow_convex_member_is_no_faster_than_vanilla():
@@ -455,6 +469,13 @@ def test_sweep_checks_every_n_before_it_starts():
     assert multiprocessing.active_children() == []
 
 
+def test_sweep_needs_a_size():
+    with pytest.raises(ValueError, match="a sweep needs at least one size"):
+        convex_lower_bound_sweep([], VANILLA, runs=30)
+    with pytest.raises(ValueError, match="a sweep needs at least one size"):
+        algA_scaling_sweep([], runs=30)
+
+
 def test_resolve_period_matches_sweep_row():
     period, tv1, tv2 = resolve_period(build_barbell(4, 4), 4.0, seed=3, runs=100)
     assert period == compute_period(tv1, tv2, 8, 4.0)
@@ -483,13 +504,17 @@ def test_alg_sweep_n1_mode_censors_on_equal_blocks():
     assert table.column("censored") == [True]
 
 
-def test_sweep_csv_roundtrip(tmp_path):
-    table = convex_lower_bound_sweep([4], VANILLA, runs=30, seed=5)
-    path = tmp_path / "sweep.csv"
-    table.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0].split(",")[:3] == ["n", "n1", "n2"]
-    assert len([l for l in lines if l.startswith("#")]) == len(table.comments)
+def test_sweep_csv_roundtrip():
+    table = algA_scaling_sweep([4], runs=30, seed=5)
+    buf = io.StringIO()
+    table.write(buf)
+    text = buf.getvalue()
+    assert "\r" not in text
+    lines = text.splitlines()
+    rows = list(csv.reader(lines[: 1 + len(table.rows)]))
+    assert rows == [table.columns] + [[str(v) for v in row] for row in table.rows]
+    assert rows[1][3] == table.column("rule")[0] == "algA:P=10,gamma=balanced,C=4"
+    assert lines[1 + len(table.rows):] == [f"# {c}" for c in table.comments]
 
 
 def test_estimator_rejects_infinite_horizon():

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 
 import cutgossip
 from cutgossip.cli import build_parser, main, parse_graph_spec
-from cutgossip.graph import build_barbell, save_graph
+from cutgossip.graph import build_barbell, random_partitioned, save_graph
 
 
 def run_cli(capsys, *argv):
@@ -25,6 +26,17 @@ def test_graph_specs(tmp_path):
     assert parse_graph_spec(f"file:{path}", 0) == build_barbell(2, 4)
     g = parse_graph_spec("random:n1=3,n2=4,p1=0.9,p2=0.9,k12=2", 5)
     assert (g.n1, g.n2) == (3, 4)
+
+
+# random: specs that build, with the random_partitioned arguments they
+# stand for: the spec of test_graph_specs, the defaults, any key order
+@pytest.mark.parametrize("spec, args", [
+    ("random:n1=3,n2=4,p1=0.9,p2=0.9,k12=2", (3, 4, 0.9, 0.9, 2)),
+    ("random:n1=4,n2=6", (4, 6, 0.8, 0.8, 1)),
+    ("random:k12=2,n2=5,n1=3", (3, 5, 0.8, 0.8, 2)),
+])
+def test_random_graph_specs(spec, args):
+    assert parse_graph_spec(spec, 7) == random_partitioned(*args, 7)
 
 
 def test_graph_spec_errors():
@@ -166,9 +178,21 @@ def test_malformed_rule_exits_2(capsys):
     ["estimate", "--graph", "random:n1=4,n2=6,p=0.01,k=3", "--runs", "30",
      "--horizon", "200"],
     ["sweep", "--n", "4", "--runs", "30", "--rule", "algA:P=5,gamma=balanced"],
+    # a sweep with no sizes
+    ["sweep", "--n", ",", "--runs", "30"],
+    # an option list or a config file that sets a key twice, an item that
+    # is not key=value, and a random: spec without n1
+    ["simulate", "--graph", "barbell:2,2", "--rule", "algA:P=3,P=4", "--max-events", "10"],
+    ["simulate", "--graph", "barbell:2,2", "--rule", "convex:a=0.2,a=0.9",
+     "--max-events", "10"],
+    ["check", "invariants", "--graph", "random:n1=4,n2=4,n1=5"],
+    ["check", "invariants", "--graph", "random:n1=4,n2"],
+    ["check", "invariants", "--graph", "random:n2=4"],
+    ["estimate", "--config", "runs-twice.cfg"],
 ])
 def test_rejected_values_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs-twice.cfg").write_text("runs=30\nruns=40\n")
     (tmp_path / "no-equals.cfg").write_text("runs 30\n")
     (tmp_path / "bad-value.cfg").write_text("runs=many\n")
     (tmp_path / "bad-choice.cfg").write_text("side=3\n")
@@ -184,6 +208,25 @@ def test_rejected_values_exit_2(tmp_path, monkeypatch, capsys, argv):
         assert "--min-increments" in err
     if "barbell:1,1" in argv:  # every run is at consensus after one firing, or diverges
         assert ("consensus" if "dominance" in argv else "diverges") in err
+    for arg, message in _REJECTED_AS.items():
+        if arg in argv:
+            assert err == f"error: {message}\n"
+
+
+# the one error line of a rejected argument, by argument
+_REJECTED_AS = {
+    ",": "a sweep needs at least one size",
+    "algA:P=3,P=4": "bad rule text 'algA:P=3,P=4': option 'P' given twice",
+    "convex:a=0.2,a=0.9": "bad rule text 'convex:a=0.2,a=0.9': option 'a' given twice",
+    "random:n1=4,n2=4,n1=5":
+        "bad graph spec 'random:n1=4,n2=4,n1=5': option 'n1' given twice",
+    "random:n1=4,n2":
+        "bad graph spec 'random:n1=4,n2': malformed option 'n2': expected key=value",
+    "random:n2=4": "bad graph spec 'random:n2=4': missing option 'n1'",
+    "random:n1=4,n2=6,p=0.01,k=3": "bad graph spec 'random:n1=4,n2=6,p=0.01,k=3': "
+                                   "unknown option 'p': expected n1, n2, p1, p2, k12",
+    "runs-twice.cfg": "runs-twice.cfg:2: config key 'runs' set twice",
+}
 
 
 @pytest.mark.parametrize("command", [
@@ -294,6 +337,23 @@ def test_sweep_csv(tmp_path, capsys):
     assert lines[-1].startswith("# loglog_slope")
 
 
+def test_sweep_prints_the_csv_it_writes(tmp_path, capsys):
+    # the rule field of the algA sweep holds commas, so it is quoted
+    argv = ["sweep", "--rule", "algA:gamma=balanced,C=4", "--n", "4,8",
+            "--runs", "30", "--seed", "3", "--workers", "1"]
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    out = tmp_path / "sweep.csv"
+    assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
+    assert out.read_bytes() == stdout.encode()
+    lines = stdout.splitlines()
+    rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+    assert [len(row) for row in rows] == [18] * 3
+    for row in rows[1:]:
+        assert row[3] == f"algA:P={row[9]},gamma=balanced,C=4"
+    assert lines[-1].startswith("# loglog_slope_t_hat_vs_n=")
+
+
 def test_sweep_alg_to_stdout(capsys):
     code, stdout, _ = run_cli(
         capsys, "sweep", "--rule", "algA:gamma=balanced,C=4", "--n", "4",
@@ -308,7 +368,7 @@ def test_sweep_alg_to_stdout(capsys):
 @pytest.mark.parametrize("argv, digest", [
     (["sweep", "--family", "barbell", "--rule", "algA:gamma=balanced,C=4",
       "--n", "16,32", "--runs", "30", "--seed", "3"],
-     "d83c9590fa4fed7aaced2ee7467a31269e95e610d46f1b1175cb30e78e9191fb"),
+     "146532b1a0635ac25bb8fdc45dfd0853b22cec8659c9220171ead53c24467aba"),
     (["sweep", "--family", "barbell", "--rule", "vanilla", "--n", "16,32",
       "--runs", "30", "--seed", "3"],
      "3a83af0a54055cde874201eab41ed598ee7c09bd9b3e8b969c692a1387817447"),
@@ -344,7 +404,7 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
         (["estimate"], "grph=barbell:1,1"),
         (["estimate"], "gamma=n1"),
         (["estimate"], "c=8"),
-        # a key is one of the command's own value flags
+        # a key is one of the command's own flags
         (["estimate"], "config=other.cfg"),
         (["sweep"], "horizon=5"),
         (["simulate"], "runs=30"),

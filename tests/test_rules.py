@@ -213,6 +213,50 @@ def test_descriptor_text_roundtrip():
         assert parse_rule(text).to_text() == text
 
 
+# every valid rule text of README, CI, perfbench and the tests, with its
+# descriptor; keys may come in any order, with blanks around them
+@pytest.mark.parametrize("text, rule", [
+    ("vanilla", RuleDescriptor("vanilla")),
+    ("vanilla:", RuleDescriptor("vanilla")),
+    ("convex:a=0.75", RuleDescriptor("convex", alpha=0.75)),
+    ("convex:a=0.3", RuleDescriptor("convex", alpha=0.3)),
+    ("convex:a=0.7", RuleDescriptor("convex", alpha=0.7)),
+    ("algA:gamma=balanced", RuleDescriptor("algA")),
+    ("algA:gamma=balanced,C=4", RuleDescriptor("algA", c_const=4.0)),
+    ("algA:gamma=balanced,C=1e308", RuleDescriptor("algA", c_const=1e308)),
+    ("algA:P=3", RuleDescriptor("algA", period=3)),
+    ("algA:P=8", RuleDescriptor("algA", period=8)),
+    ("algA:P=3,gamma=balanced", RuleDescriptor("algA", period=3)),
+    ("algA:P=2,gamma=balanced,C=4", RuleDescriptor("algA", period=2)),
+    ("algA:P=20,gamma=balanced,C=4", RuleDescriptor("algA", period=20)),
+    ("algA:P=3,gamma=n1,C=2.5",
+     RuleDescriptor("algA", period=3, gamma_mode="n1", c_const=2.5)),
+    ("algA:P=1,gamma=2.5",
+     RuleDescriptor("algA", period=1, gamma_mode="explicit", gamma_value=2.5)),
+    ("algA:gamma=2.5,C=4",
+     RuleDescriptor("algA", gamma_mode="explicit", gamma_value=2.5)),
+    (" algA: C = 2 , P = 5 ", RuleDescriptor("algA", period=5, c_const=2.0)),
+])
+def test_parse_rule_texts(text, rule):
+    assert parse_rule(text) == rule
+
+
+@pytest.mark.parametrize("text, message", [
+    ("algA:P=3,P=4", "option 'P' given twice"),
+    ("convex:a=0.2,a=0.9", "option 'a' given twice"),
+    ("algA:P=3,", "malformed option '': expected key=value"),
+    ("algA:P", "malformed option 'P': expected key=value"),
+    ("algA:P=", "malformed option 'P=': expected key=value"),
+    ("algA:Q=1", "unknown option 'Q': expected P, gamma, C"),
+    ("vanilla:a=1", "unknown option 'a': expected none"),
+    ("convex", "missing option 'a'"),
+])
+def test_parse_rule_names_the_bad_option(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_rule(text)
+    assert str(exc.value) == f"bad rule text {text!r}: {message}"
+
+
 def test_parse_rule_errors():
     for text in ("nope", "convex", "convex:b=1", "algA:P=x", "algA:gamma=?",
                  "vanilla:a=1", "convex:a=2", "algA:P", "algA:Q=1", "algA:C=inf",
